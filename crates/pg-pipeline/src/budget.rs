@@ -92,6 +92,11 @@ impl RoundBudget {
         self.total_spent += cost;
     }
 
+    /// Units spent so far this round.
+    pub fn spent_this_round(&self) -> f64 {
+        self.spent_this_round
+    }
+
     /// Total units spent across all rounds.
     pub fn total_spent(&self) -> f64 {
         self.total_spent

@@ -37,18 +37,19 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use pg_codec::{CostModel, Decoder, Encoder, EncoderConfig};
-use pg_inference::redundancy::RedundancyJudge;
-use pg_inference::tasks::{model_for, InferenceModel};
+use pg_codec::{CostModel, Encoder, EncoderConfig};
 use pg_net::wire;
-use pg_scene::{generator_for, SceneGenerator, TaskKind};
+use pg_scene::{generator_for, TaskKind};
 
 use crate::budget::RoundBudget;
 use crate::concurrent::{
-    ClusterControl, ConcurrentConfig, ConcurrentPipeline, ConcurrentReport, DecodeWorkModel,
+    after_warmup, latency_percentile, ClusterControl, ConcurrentConfig, ConcurrentPipeline,
+    ConcurrentReport, DecodeWorkModel,
 };
-use crate::gate::{FeedbackEvent, GatePolicy, PacketContext};
+use crate::gate::{GatePolicy, PacketContext};
 use crate::insight::Insight;
+use crate::round::{LiveStream, SimConfig};
+use crate::roundcore::RoundCore;
 use crate::telemetry::{Telemetry, TelemetrySnapshot};
 
 /// Budget clamp band around an instance's fair share: reallocation may
@@ -264,21 +265,13 @@ impl ClusterReport {
     /// excluding each instance's own `warmup` prefix (same convention as
     /// [`ConcurrentReport::round_latency_percentile_after`]).
     pub fn round_latency_percentile_after(&self, warmup: usize, pct: f64) -> Duration {
-        let mut merged: Vec<u64> = Vec::new();
-        for r in &self.instances {
-            let lat = &r.round_latency_us;
-            if warmup < lat.len() {
-                merged.extend_from_slice(&lat[warmup..]);
-            } else {
-                merged.extend_from_slice(lat);
-            }
-        }
-        if merged.is_empty() {
-            return Duration::ZERO;
-        }
-        merged.sort_unstable();
-        let rank = (pct.clamp(0.0, 100.0) / 100.0 * (merged.len() - 1) as f64).round() as usize;
-        Duration::from_micros(merged[rank.min(merged.len() - 1)])
+        let merged = self
+            .instances
+            .iter()
+            .flat_map(|r| after_warmup(&r.round_latency_us, warmup))
+            .copied()
+            .collect();
+        latency_percentile(merged, pct)
     }
 }
 
@@ -612,14 +605,6 @@ impl ClusterSimReport {
     }
 }
 
-struct SimStream {
-    generator: Box<dyn SceneGenerator + Send>,
-    encoder: Encoder,
-    decoder: Decoder,
-    model: Box<dyn InferenceModel>,
-    judge: RedundancyJudge,
-}
-
 /// The deterministic lockstep cluster executor. All instances step the
 /// same round together (every gate's `select` is called every round, so
 /// policy round counters stay aligned across instances), ownership is
@@ -629,7 +614,8 @@ struct SimStream {
 /// scaling is measurable.
 pub struct ClusterSim {
     config: ClusterSimConfig,
-    streams: Vec<SimStream>,
+    core: RoundCore,
+    streams: Vec<LiveStream>,
     owner: Vec<usize>,
 }
 
@@ -656,16 +642,21 @@ impl ClusterSim {
         let streams = (0..config.streams)
             .map(|i| {
                 let seed = pg_scene::rng::mix(config.seed, i as u64);
-                SimStream {
+                LiveStream {
                     generator: generator_for(config.task, seed, config.encoder.fps),
                     encoder: Encoder::for_stream(config.encoder, seed, i as u32),
-                    decoder: Decoder::new(i as u32, config.costs),
-                    model: model_for(config.task),
-                    judge: RedundancyJudge::new(),
                 }
             })
             .collect();
+        let sim = SimConfig {
+            cost_model: config.costs,
+            ..SimConfig::default()
+        };
+        let core_streams = (0..config.streams)
+            .map(|i| (i as u32, config.task, config.encoder.codec))
+            .collect();
         ClusterSim {
+            core: RoundCore::new(sim, core_streams),
             config,
             streams,
             owner,
@@ -688,14 +679,11 @@ impl ClusterSim {
 
         let mut decoded = vec![vec![false; cfg.rounds as usize]; m];
         let mut offered = 0u64;
-        let mut decoded_total = 0u64;
         let mut handoffs = 0u64;
         let mut handoff_bytes = 0u64;
         let mut handoff_acks = 0u64;
         let mut handoff_imports = 0u64;
         let mut budgets: Vec<RoundBudget> = (0..n).map(|_| RoundBudget::new(0.0)).collect();
-        let mut contexts: Vec<Vec<PacketContext>> = vec![Vec::new(); n];
-        let mut round_seq: Vec<Option<u64>> = vec![None; m];
         let mut wire_rx = wire::FrameDecoder::new();
 
         for round in 0..cfg.rounds {
@@ -756,70 +744,43 @@ impl ClusterSim {
                 b.begin_round();
             }
 
-            // Generate, encode, ingest; route candidates to owners.
-            for ctxs in &mut contexts {
-                ctxs.clear();
-            }
+            // Generate, encode, ingest and offer every stream's packet.
+            let core = &mut self.core;
+            core.begin_round(round);
             for (i, s) in self.streams.iter_mut().enumerate() {
                 let frame = s.generator.next_frame();
+                core.observe(i, frame.state);
                 let packet = s.encoder.encode(&frame);
-                let seq = packet.meta.seq;
                 let meta = packet.meta;
-                s.decoder.ingest(packet);
-                round_seq[i] = Some(seq);
-                let Some(pending) = s.decoder.pending_cost(seq) else {
-                    round_seq[i] = None;
-                    continue;
-                };
-                offered += 1;
-                contexts[self.owner[i]].push(PacketContext {
-                    stream_idx: i,
-                    meta,
-                    pending_cost: pending,
-                    codec: s.encoder.config().codec,
-                    oracle_necessary: None,
-                });
+                core.ingest(i, round, packet);
+                core.offer(i, round, meta, None);
             }
+            offered += core.contexts.len() as u64;
 
             // Every instance selects every round — even with an empty
             // candidate list — so per-round policy state (UCB round
-            // counters) stays in lockstep across the whole cluster.
-            for k in 0..n {
-                let selection = gates[k].select(round, &contexts[k], budgets[k].per_round);
-                let mut events: Vec<FeedbackEvent> = Vec::new();
-                for &idx in &selection {
-                    if idx >= m || decoded[idx][round as usize] {
-                        continue;
-                    }
-                    if self.owner[idx] != k {
-                        continue; // stale selection for a migrated-away stream
-                    }
-                    let Some(seq) = round_seq[idx] else { continue };
-                    if !budgets[k].can_spend() {
-                        break;
-                    }
-                    let s = &mut self.streams[idx];
-                    let before = s.decoder.stats().cost_spent;
-                    let Ok(frames) = s.decoder.decode_closure(seq) else {
-                        budgets[k].charge(s.decoder.stats().cost_spent - before);
-                        continue;
-                    };
-                    budgets[k].charge(s.decoder.stats().cost_spent - before);
-                    decoded[idx][round as usize] = true;
-                    decoded_total += 1;
-                    let Some(target) = frames.last() else { continue };
-                    let result = s.model.infer(target);
-                    let necessary = s.judge.feedback(result);
-                    events.push(FeedbackEvent {
-                        stream_idx: idx,
-                        round,
-                        necessary,
-                    });
-                }
-                gates[k].feedback(&events);
+            // counters) stays in lockstep across the whole cluster. Each
+            // sees its own streams' candidates and may only decode those:
+            // a stale selection for a migrated-away stream is dropped.
+            let owner = &self.owner;
+            for (k, gate) in gates.iter_mut().enumerate() {
+                let contexts: Vec<PacketContext> = core
+                    .contexts
+                    .iter()
+                    .filter(|c| owner[c.stream_idx] == k)
+                    .copied()
+                    .collect();
+                let mut selection = gate.select(round, &contexts, budgets[k].per_round);
+                selection.retain(|&idx| owner.get(idx) == Some(&k));
+                core.decode_selected(&selection, round, None, &mut budgets[k]);
+                gate.feedback(&core.events);
+            }
+            for (i, d) in decoded.iter_mut().enumerate() {
+                d[round as usize] = core.decoded[i];
             }
         }
 
+        let decoded_total = decoded.iter().flatten().filter(|&&d| d).count() as u64;
         let final_state: Vec<Option<Vec<u8>>> = (0..m)
             .map(|i| gates[self.owner[i]].export_stream_state(i))
             .collect();
@@ -844,6 +805,7 @@ impl ClusterSim {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gate::FeedbackEvent;
     use crate::gate::DecodeAll;
 
     #[test]

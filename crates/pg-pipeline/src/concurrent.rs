@@ -83,10 +83,12 @@ use crate::fault::{
     StreamHealth,
 };
 use crate::gate::{FeedbackEvent, GatePolicy, PacketContext};
+use crate::insight::RoundOutcome;
 use crate::round::RegimeShift;
+use crate::roundcore::{close_round, infer, note_fault};
 use crate::steal::{steal_pool, PoolWorker, StealPool};
 use crate::telemetry::{Stage, Telemetry, TelemetrySnapshot};
-use crate::trace::{RoundBreakdown, RoundPart, SpanId, SpanToken, TraceStage, Track};
+use crate::trace::{SpanId, SpanToken, TraceStage, Track};
 
 /// Default for [`ConcurrentConfig::stall_timeout`]: how long the gate
 /// waits for parser output before declaring the uncovered streams stalled
@@ -446,20 +448,25 @@ impl ConcurrentReport {
     /// of magnitude; excluding them measures steady state. Falls back to
     /// the full distribution when fewer than `warmup + 1` rounds ran.
     pub fn round_latency_percentile_after(&self, warmup: usize, pct: f64) -> Duration {
-        let lat = &self.round_latency_us;
-        if lat.is_empty() {
-            return Duration::ZERO;
-        }
-        let tail = if warmup < lat.len() {
-            &lat[warmup..]
-        } else {
-            &lat[..]
-        };
-        let mut sorted = tail.to_vec();
-        sorted.sort_unstable();
-        let rank = (pct.clamp(0.0, 100.0) / 100.0 * (sorted.len() - 1) as f64).round() as usize;
-        Duration::from_micros(sorted[rank.min(sorted.len() - 1)])
+        latency_percentile(after_warmup(&self.round_latency_us, warmup).to_vec(), pct)
     }
+}
+
+/// `lat` without its first `warmup` entries, or all of it when no more
+/// than `warmup` remain.
+pub(crate) fn after_warmup(lat: &[u64], warmup: usize) -> &[u64] {
+    lat.get(warmup..).filter(|t| !t.is_empty()).unwrap_or(lat)
+}
+
+/// Nearest-rank percentile (`pct` in [0, 100]) of latencies in µs;
+/// `Duration::ZERO` when there are none.
+pub(crate) fn latency_percentile(mut lat: Vec<u64>, pct: f64) -> Duration {
+    if lat.is_empty() {
+        return Duration::ZERO;
+    }
+    lat.sort_unstable();
+    let rank = (pct.clamp(0.0, 100.0) / 100.0 * (lat.len() - 1) as f64).round() as usize;
+    Duration::from_micros(lat[rank.min(lat.len() - 1)])
 }
 
 /// A decode job: the packets of one dependency closure.
@@ -615,12 +622,7 @@ impl ConcurrentPipeline {
     /// guarantees shutdown: when any stage dies, its channel endpoints
     /// drop and every neighbour drains out, so the scope always joins.
     pub fn try_run(&self, gate: &mut dyn GatePolicy) -> Result<ConcurrentReport, String> {
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.run(gate))).map_err(|e| {
-            e.downcast_ref::<&str>()
-                .map(|s| s.to_string())
-                .or_else(|| e.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "pipeline panicked".to_string())
-        })
+        catch_panic(|| self.run(gate))
     }
 
     /// Like [`ConcurrentPipeline::run_with_source`], with the same
@@ -630,15 +632,7 @@ impl ConcurrentPipeline {
         gate: &mut dyn GatePolicy,
         source: Box<dyn ChunkSource + '_>,
     ) -> Result<ConcurrentReport, String> {
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
-            self.run_with_source(gate, source)
-        }))
-        .map_err(|e| {
-            e.downcast_ref::<&str>()
-                .map(|s| s.to_string())
-                .or_else(|| e.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "pipeline panicked".to_string())
-        })
+        catch_panic(move || self.run_with_source(gate, source))
     }
 
     /// Run to completion under `gate`, fed by the in-process seeded
@@ -683,7 +677,7 @@ impl ConcurrentPipeline {
         // gate → decoders: work-stealing pool (unbounded injector).
         let (pool, pool_workers) = steal_pool::<DecodeJob>(cfg.decode_workers);
         // decoders → inference.
-        let (frame_tx, frame_rx) = bounded::<(InferItem, f64, usize)>(m * 4);
+        let (frame_tx, frame_rx) = bounded::<InferItem>(m * 4);
         // inference → gate (feedback).
         let (fb_tx, fb_rx) = bounded::<FeedbackEvent>(m * 16);
         // workers/inference → gate (classified faults). Unbounded so a
@@ -849,6 +843,16 @@ impl ConcurrentPipeline {
     }
 }
 
+/// Run `f`, turning a panic into an `Err` carrying its message.
+fn catch_panic<T>(f: impl FnOnce() -> T) -> Result<T, String> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).map_err(|e| {
+        e.downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| e.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "pipeline panicked".to_string())
+    })
+}
+
 fn producer(cfg: &ConcurrentConfig, sink: IngestSink) {
     use crate::ingest::StreamFeed;
     let mut feeds: Vec<StreamFeed> = (0..cfg.streams)
@@ -1006,7 +1010,7 @@ fn decode_worker(
     work: DecodeWorkModel,
     plan: &FaultPlan,
     rx: PoolWorker<DecodeJob>,
-    tx: Sender<(InferItem, f64, usize)>,
+    tx: Sender<InferItem>,
     err_tx: Sender<PipelineError>,
     telemetry: Telemetry,
 ) -> WorkerTotals {
@@ -1057,7 +1061,7 @@ fn decode_worker(
             target,
             trace_parent: decoded_span.map(|d| d.id),
         };
-        if tx.send((item, job.cost, job.closure.len())).is_err() {
+        if tx.send(item).is_err() {
             break;
         }
     }
@@ -1224,28 +1228,10 @@ fn gate_stage(
     let mut decoded = 0u64;
     let mut gate_time = Duration::ZERO;
     let mut round_latency_us = Vec::with_capacity(cfg.rounds as usize);
-    let insight = telemetry.insight().clone();
-    let autopilot = telemetry.autopilot().clone();
     let trace = telemetry.trace().clone();
     // The SLO controller may retune this between rounds.
     let mut budget_per_round = cfg.budget_per_round;
     let control = cfg.control.as_deref();
-
-    let note_fault = |faults: &mut Vec<FaultRecord>,
-                      health: &mut StreamHealth,
-                      error: &PipelineError,
-                      round: u64,
-                      strike: bool| {
-        telemetry.fault(error.kind(), error.stream_idx());
-        push_fault(faults, error);
-        if strike {
-            if let Some(i) = error.stream_idx() {
-                if health.strike(i, round) {
-                    telemetry.stream_degraded(i);
-                }
-            }
-        }
-    };
 
     for round in 0..cfg.rounds {
         let round_start = Instant::now();
@@ -1287,7 +1273,7 @@ fn gate_stage(
                             };
                             raise(&mut ingest.fault_cover[i], round);
                             ingest.link_stalled[i] = true;
-                            note_fault(&mut faults, &mut health, &error, round, true);
+                            note_fault(telemetry, &mut faults, &mut health, &error, round, true);
                         }
                     }
                 }
@@ -1333,7 +1319,7 @@ fn gate_stage(
                 // once; a vacant slot would be a logic bug, not input
                 // damage, and skipping it keeps this path panic-free.
                 let Some(p) = slot.take() else { continue };
-                insight.observe_packet(
+                telemetry.insight().observe_packet(
                     i,
                     round,
                     p.meta.frame_type.is_independent(),
@@ -1348,7 +1334,7 @@ fn gate_stage(
                         offset: None,
                         reason: format!("implausible sequence number {}", p.meta.seq),
                     };
-                    note_fault(&mut faults, &mut health, &error, round, true);
+                    note_fault(telemetry, &mut faults, &mut health, &error, round, true);
                     continue;
                 }
                 trackers[i].note_arrival(&p);
@@ -1365,14 +1351,12 @@ fn gate_stage(
                 }
             }
             for f in scratch.flts.drain(..) {
-                if f.fatal {
-                    // The stream was killed at receipt; write the ledger
-                    // entry at its canonical position.
-                    telemetry.fault(f.error.kind(), Some(f.stream_idx));
-                    push_fault(&mut faults, &f.error);
+                // A fatal fault killed its stream at receipt; this writes
+                // the ledger entry at its canonical position.
+                let (error, fatal) = (&f.error, f.fatal);
+                note_fault(telemetry, &mut faults, &mut health, error, round, !fatal);
+                if fatal {
                     telemetry.stream_degraded(f.stream_idx);
-                } else {
-                    note_fault(&mut faults, &mut health, &f.error, round, true);
                 }
             }
         }
@@ -1383,7 +1367,7 @@ fn gate_stage(
             // loss is recorded but does not quarantine (the stream's data
             // path is fine).
             let strikes = matches!(error, PipelineError::DecodeFail { .. });
-            note_fault(&mut faults, &mut health, &error, round, strikes);
+            note_fault(telemetry, &mut faults, &mut health, &error, round, strikes);
         }
 
         // Drain async feedback.
@@ -1416,7 +1400,7 @@ fn gate_stage(
                     offset: None,
                     reason: format!("record for round {round} lost"),
                 };
-                note_fault(&mut faults, &mut health, &error, round, true);
+                note_fault(telemetry, &mut faults, &mut health, &error, round, true);
                 continue;
             };
             let Some(pending_cost) = trackers[i].pending_cost(p.meta.seq, &cfg.costs) else {
@@ -1425,7 +1409,7 @@ fn gate_stage(
                     seq: p.meta.seq,
                     detail: "pending cost unavailable (references lost)".to_string(),
                 };
-                note_fault(&mut faults, &mut health, &error, round, true);
+                note_fault(telemetry, &mut faults, &mut health, &error, round, true);
                 continue;
             };
             scratch.contexts.push(PacketContext {
@@ -1478,7 +1462,7 @@ fn gate_stage(
                     seq: round,
                     detail: "dependency closure unavailable".to_string(),
                 };
-                note_fault(&mut faults, &mut health, &error, round, true);
+                note_fault(telemetry, &mut faults, &mut health, &error, round, true);
                 continue;
             };
             spent += job.cost;
@@ -1489,58 +1473,40 @@ fn gate_stage(
         }
         let dispatch_done = trace.end(dispatch_span, Track::Gate);
 
-        // Close the round for the decision-quality monitor. The runtime
-        // has no scene ground truth, so no hindsight-oracle outcomes are
-        // reported — the regret tracker simply doesn't advance here; the
-        // ring, drift and Lemma-1 channels stay live.
-        if insight.is_enabled() {
-            insight.record_round(&crate::insight::RoundOutcome {
-                round,
-                budget: budget_per_round,
-                spent,
-                offered: contexts.len(),
-                decoded: sent.iter().filter(|&&d| d).count(),
-                quarantined: health.sidelined_count(),
-                outcomes: &[],
-            });
-        }
         let round_us = round_start.elapsed().as_micros() as u64;
         round_latency_us.push(round_us);
         if let Some(c) = control {
             let offered: f64 = contexts.iter().map(|ctx| ctx.pending_cost).sum();
             c.note_round(offered, spent, round_us);
         }
-        if let Some(done) = trace.end(round_span, Track::Gate) {
-            let parts = [
-                (TraceStage::IngestWait, ingest_done),
-                (TraceStage::Assemble, assemble_done),
-                (TraceStage::GateSelect, select_done),
-                (TraceStage::Dispatch, dispatch_done),
-            ]
-            .into_iter()
-            .filter_map(|(stage, closed)| {
-                closed.map(|c| RoundPart {
-                    stage: stage.name().to_string(),
-                    us: c.dur_us,
-                })
-            })
-            .collect();
-            trace.note_round(RoundBreakdown {
-                round,
-                total_us: done.dur_us,
-                parts,
-            });
-        }
-        if autopilot.is_enabled() {
-            budget_per_round = autopilot.observe_round(
-                round,
-                gate,
-                &insight,
-                spent,
-                budget_per_round,
-                Some(round_us as f64),
-            );
-        }
+        // The runtime has no scene ground truth, so no hindsight-oracle
+        // outcomes are reported — the regret tracker simply doesn't
+        // advance here; the ring, drift and Lemma-1 channels stay live.
+        let outcome = RoundOutcome {
+            round,
+            budget: budget_per_round,
+            spent,
+            offered: contexts.len(),
+            decoded: sent.iter().filter(|&&d| d).count(),
+            quarantined: health.sidelined_count(),
+            outcomes: &[],
+        };
+        let parts = [
+            (TraceStage::IngestWait, ingest_done),
+            (TraceStage::Assemble, assemble_done),
+            (TraceStage::GateSelect, select_done),
+            (TraceStage::Dispatch, dispatch_done),
+        ]
+        .map(|(stage, closed)| (stage, closed.map_or(0, |c| c.dur_us)));
+        budget_per_round = close_round(
+            telemetry,
+            telemetry.autopilot(),
+            gate,
+            &outcome,
+            round_span,
+            &parts,
+            Some(round_us),
+        );
     }
     GateStats {
         decoded,
@@ -1585,7 +1551,7 @@ fn inference_stage(
     m: usize,
     task: TaskKind,
     plan: &FaultPlan,
-    frame_rx: Receiver<(InferItem, f64, usize)>,
+    frame_rx: Receiver<InferItem>,
     fb_tx: Sender<FeedbackEvent>,
     err_tx: Sender<PipelineError>,
     telemetry: Telemetry,
@@ -1596,7 +1562,7 @@ fn inference_stage(
     let mut judges: Vec<RedundancyJudge> = (0..m).map(|_| RedundancyJudge::new()).collect();
     let trace = telemetry.trace().clone();
     let mut count = 0u64;
-    while let Ok((item, _cost, _len)) = frame_rx.recv() {
+    while let Ok(item) = frame_rx.recv() {
         let infer_timer = telemetry.timer();
         let infer_span = trace.begin(
             TraceStage::Infer,
@@ -1611,11 +1577,21 @@ fn inference_stage(
             frame_type: item.target.meta.frame_type,
             scene: item.target.scene,
         };
-        let result = models[item.stream_idx].infer(&decoded);
-        let necessary = judges[item.stream_idx].feedback(result);
+        let i = item.stream_idx;
+        let result = infer(models[i].as_mut(), &decoded, i, item.round);
         trace.end(infer_span, Track::Infer);
         telemetry.record(Stage::Infer, 1, infer_timer);
         count += 1;
+        let necessary = match result {
+            Ok(result) => judges[i].feedback(result),
+            Err(error) => {
+                // A frame of another task: the stream's fault (it strikes
+                // at the gate), never a panic that would stop feedback for
+                // every stream.
+                let _ = err_tx.send(error);
+                continue;
+            }
+        };
         if plan.drops_feedback(item.stream_idx, item.round) {
             // Injected feedback loss: the optimizer never hears about this
             // decode. Reported, but not a health strike — the stream's
@@ -1787,6 +1763,54 @@ mod tests {
             .faults
             .iter()
             .any(|f| f.kind == "parse_corrupt" && f.stream_idx == Some(1)));
+    }
+
+    /// Feeds stream 1 with fire-detection scenes while the pipeline's
+    /// models serve person counting.
+    struct WrongTaskSource {
+        cfg: ConcurrentConfig,
+    }
+
+    impl ChunkSource for WrongTaskSource {
+        fn run(self: Box<Self>, sink: IngestSink) {
+            use crate::ingest::StreamFeed;
+            let cfg = &self.cfg;
+            let mut feeds: Vec<StreamFeed> = (0..cfg.streams)
+                .map(|i| {
+                    let task = if i == 1 {
+                        TaskKind::FireDetection
+                    } else {
+                        cfg.task
+                    };
+                    StreamFeed::new(task, cfg.encoder, cfg.seed, i)
+                })
+                .collect();
+            for (i, feed) in feeds.iter().enumerate() {
+                sink.deliver(i, 0, Bytes::from(feed.header_chunk(&cfg.faults)));
+            }
+            for round in 0..cfg.rounds {
+                for (i, feed) in feeds.iter_mut().enumerate() {
+                    sink.deliver(i, round, Bytes::from(feed.next_chunk(round, &cfg.faults)));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn wrong_task_scene_faults_only_its_stream() {
+        let cfg = config(4, 40, 1e9);
+        assert_eq!(cfg.task, TaskKind::PersonCounting);
+        let source = Box::new(WrongTaskSource { cfg: cfg.clone() });
+        let report = ConcurrentPipeline::new(cfg)
+            .try_run_with_source(&mut DecodeAll, source)
+            .expect("a wrong-task stream must not take the run down");
+        assert!(report.faults.iter().all(|f| f.kind != "stage_down"));
+        assert!(!report.faults.is_empty(), "the mismatch must be reported");
+        assert!(report.faults.iter().all(|f| f.stream_idx == Some(1)));
+        assert_eq!(report.health.streams_ever_quarantined, 1);
+        for i in [0usize, 2, 3] {
+            assert_eq!(report.frames_per_stream[i], 40, "stream {i}");
+        }
     }
 
     #[test]

@@ -2,16 +2,31 @@
 //! # pg-pipeline — the multi-stream video-inference pipeline
 //!
 //! The **evaluation substrate**: parse → gate → decode → infer → feedback,
-//! over `m` concurrent streams, under a per-round decoding budget. Two
-//! execution modes share the same components:
+//! over `m` concurrent streams, under a per-round decoding budget.
 //!
-//! * [`round::RoundSimulator`] — the deterministic round-based simulator
-//!   behind every accuracy/concurrency experiment. One round = one packet
-//!   per stream (the paper's formalization, §4.1: "we divide one second
-//!   into 25 rounds, so we receive 1000 packets at each round");
-//! * [`concurrent::ConcurrentPipeline`] — a threads-and-channels runtime
-//!   that moves real bytes through a parser and a decoder pool, used to
-//!   measure wall-clock throughput and gate overheads.
+//! Every round runs the same loop (the paper's formalization, §4.1: "we
+//! divide one second into 25 rounds, so we receive 1000 packets at each
+//! round"): candidates → the policy's `select` → budgeted decode of each
+//! selected dependency closure → inference → feedback. One **round core**
+//! (`roundcore`, crate-internal) owns that loop, its budget, accuracy and
+//! fault accounting, and its epilogue (insight, trace, autopilot). Three
+//! thin packet sources drive it:
+//!
+//! * [`round::RoundSimulator`] — live encoders, one packet per stream per
+//!   round: the deterministic simulator behind every accuracy/concurrency
+//!   experiment;
+//! * [`replay::ReplaySimulator`] — recorded packets (e.g. `.pgv` files),
+//!   gated without re-encoding;
+//! * [`netround::NetworkedRoundSimulator`] — packets that survived a lossy,
+//!   jittery link, so a round offers a subset of the streams.
+//!
+//! [`concurrent::ConcurrentPipeline`] is the threads-and-channels runtime
+//! that moves real bytes through sharded parsers and a decoder pool, used
+//! to measure wall-clock throughput and gate overheads. It charges the same
+//! exact closure costs and shares the core's fault accounting, inference
+//! task check and round epilogue. Given the same packets, a policy that
+//! ignores feedback (the runtime's arrives asynchronously) therefore
+//! decides identically in every mode.
 //!
 //! Gating policies plug in through the [`gate::GatePolicy`] trait; the
 //! `packetgame` crate provides PacketGame itself plus all baselines.
@@ -29,6 +44,7 @@ pub mod metrics;
 pub mod netround;
 pub mod replay;
 pub mod round;
+mod roundcore;
 pub mod search;
 pub mod steal;
 pub mod telemetry;

@@ -8,79 +8,49 @@
 //! feedback loop as the live round simulator. No re-encoding happens; the
 //! gate sees exactly the stored packets.
 
-use pg_codec::{Decoder, Packet};
-use pg_inference::accuracy::OnlineAccuracy;
-use pg_inference::redundancy::RedundancyJudge;
-use pg_inference::tasks::{model_for, InferenceModel};
-use pg_scene::SceneState;
+use pg_codec::Packet;
 
 use crate::autopilot::Autopilot;
-use crate::budget::RoundBudget;
-use crate::fault::{push_fault, FaultRecord, HealthSummary, PipelineError};
-use crate::gate::{FeedbackEvent, GatePolicy, PacketContext};
+use crate::gate::GatePolicy;
 use crate::metrics::RoundSimReport;
 use crate::round::SimConfig;
-use crate::telemetry::{Stage, Telemetry};
-use crate::trace::{RoundBreakdown, RoundPart, SpanToken, TraceStage, Track};
-
-struct ReplayStream {
-    packets: Vec<Packet>,
-    codec: pg_codec::Codec,
-    decoder: Decoder,
-    model: Box<dyn InferenceModel>,
-    judge: RedundancyJudge,
-    prev_state: Option<SceneState>,
-    published: Option<pg_inference::tasks::InferenceResult>,
-}
+use crate::roundcore::RoundCore;
+use crate::telemetry::Telemetry;
 
 /// Replays pre-encoded packet sequences under a gate. See module docs.
 pub struct ReplaySimulator {
-    streams: Vec<ReplayStream>,
-    config: SimConfig,
-    telemetry: Telemetry,
-    autopilot: Autopilot,
+    core: RoundCore,
+    /// Each stream's packets, in decode order.
+    packets: Vec<Vec<Packet>>,
 }
 
 impl ReplaySimulator {
     /// Build from per-stream packet sequences (one `Vec<Packet>` per
-    /// stream, in decode order) and the codec each was encoded with.
+    /// stream, in decode order) and the codec each was encoded with. Each
+    /// stream's model serves the task of its first packet; a later packet
+    /// of another task is that stream's fault, not the run's.
     ///
-    /// Panics if any stream is empty or its packets carry mixed tasks.
+    /// Panics if any stream is empty.
     pub fn new(streams: Vec<(pg_codec::Codec, Vec<Packet>)>, config: SimConfig) -> Self {
         assert!(!streams.is_empty(), "need at least one stream");
-        let streams = streams
+        let (core_streams, packets) = streams
             .into_iter()
             .enumerate()
             .map(|(i, (codec, packets))| {
                 assert!(!packets.is_empty(), "stream {i} is empty");
-                let task = packets[0].scene.state.task();
-                debug_assert!(
-                    packets.iter().all(|p| p.scene.state.task() == task),
-                    "stream {i} mixes tasks"
-                );
-                ReplayStream {
-                    packets,
-                    codec,
-                    decoder: Decoder::new(i as u32, config.cost_model),
-                    model: model_for(task),
-                    judge: RedundancyJudge::new(),
-                    prev_state: None,
-                    published: None,
-                }
+                ((i as u32, packets[0].scene.state.task(), codec), packets)
             })
-            .collect();
+            .unzip();
         ReplaySimulator {
-            streams,
-            config,
-            telemetry: Telemetry::disabled(),
-            autopilot: Autopilot::disabled(),
+            core: RoundCore::new(config, core_streams),
+            packets,
         }
     }
 
     /// Attach a telemetry handle (see
     /// [`RoundSimulator::with_telemetry`](crate::round::RoundSimulator::with_telemetry)).
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
-        self.telemetry = telemetry;
+        self.core.telemetry = telemetry;
         self
     }
 
@@ -89,15 +59,15 @@ impl ReplaySimulator {
     /// Replays gate stored packets, so regime shifts live in the recording;
     /// the autopilot still recovers the gate when it detects them.
     pub fn with_autopilot(mut self, autopilot: Autopilot) -> Self {
-        self.autopilot = autopilot;
+        self.core.autopilot = autopilot;
         self
     }
 
     /// Rounds available: the shortest stream's length.
     pub fn rounds_available(&self) -> u64 {
-        self.streams
+        self.packets
             .iter()
-            .map(|s| s.packets.len() as u64)
+            .map(|p| p.len() as u64)
             .min()
             .unwrap_or(0)
     }
@@ -105,228 +75,21 @@ impl ReplaySimulator {
     /// Replay up to `max_rounds` rounds (clamped to the shortest stream).
     pub fn run(mut self, gate: &mut dyn GatePolicy, max_rounds: u64) -> RoundSimReport {
         let rounds = self.rounds_available().min(max_rounds);
-        let m = self.streams.len();
-        gate.attach_telemetry(self.telemetry.clone());
-        let mut budget = RoundBudget::new(self.config.budget_per_round);
-        let mut accuracy = OnlineAccuracy::with_segments(self.config.segments);
-        let mut staleness = OnlineAccuracy::with_segments(self.config.segments);
-        let mut packets_decoded = 0u64;
-        let mut packets_backfilled = 0u64;
-        let mut necessary_total = 0u64;
-        let mut necessary_decoded = 0u64;
-        let mut fault_log: Vec<FaultRecord> = Vec::new();
-
-        let insight = self.telemetry.insight().clone();
-        let trace = self.telemetry.trace().clone();
-
-        for round in 0..rounds {
-            let round_span = trace.begin(TraceStage::Round, None, round, None);
-            let round_id = round_span.as_ref().map(SpanToken::id);
-            let mut decode_us = 0u64;
-            let mut infer_us = 0u64;
-            budget.begin_round();
-            let spent_before = budget.total_spent();
-            let segment = (round as usize * self.config.segments) / rounds.max(1) as usize;
-
-            let mut contexts = Vec::with_capacity(m);
-            let mut necessity = vec![false; m];
-            let mut truths = Vec::with_capacity(m);
-            let parse_timer = self.telemetry.timer();
-            let parse_span = trace.begin(TraceStage::Parse, None, round, round_id);
-            for (i, s) in self.streams.iter_mut().enumerate() {
+        let packets = &self.packets;
+        self.core.run(gate, rounds, |core, round| {
+            for (i, stream) in packets.iter().enumerate() {
                 // Re-stamp the stream id so multi-file replays don't clash.
-                let mut packet = s.packets[round as usize].clone();
+                let mut packet = stream[round as usize].clone();
                 packet.meta.stream_id = i as u32;
-                necessity[i] = packet.scene.state.necessary_after(s.prev_state.as_ref());
-                s.prev_state = Some(packet.scene.state);
-                truths.push(pg_inference::tasks::truth_result(&packet.scene.state));
-                let seq = packet.meta.seq;
+                core.observe(i, packet.scene.state);
                 let meta = packet.meta;
-                insight.observe_packet(
-                    i,
-                    round,
-                    meta.frame_type.is_independent(),
-                    u64::from(meta.size),
-                );
-                s.decoder.ingest(packet);
-                let Some(pending) = s.decoder.pending_cost(seq) else {
-                    // A damaged file can repeat or reorder sequence
-                    // numbers; such packets are stranded, not fatal.
-                    let error = PipelineError::DependencyViolation {
-                        stream_idx: i,
-                        seq,
-                        detail: "pending cost unavailable (references lost)".to_string(),
-                    };
-                    self.telemetry.fault(error.kind(), Some(i));
-                    push_fault(&mut fault_log, &error);
-                    continue;
-                };
-                contexts.push(PacketContext {
-                    stream_idx: i,
-                    meta,
-                    pending_cost: pending,
-                    codec: s.codec,
-                    oracle_necessary: if self.config.expose_oracle {
-                        Some(necessity[i])
-                    } else {
-                        None
-                    },
-                });
+                core.ingest(i, round, packet);
+                // A damaged file can repeat or reorder sequence numbers;
+                // such packets are stranded (a dependency fault), not fatal.
+                core.offer(i, round, meta, None);
             }
-
-            let parse_done = trace.end(parse_span, Track::Gate);
-            self.telemetry.record(Stage::Parse, m as u64, parse_timer);
-
-            let gate_timer = self.telemetry.timer();
-            let select_span = trace.begin(TraceStage::GateSelect, None, round, round_id);
-            let selection = gate.select(round, &contexts, budget.per_round);
-            let select_done = trace.end(select_span, Track::Gate);
-            self.telemetry
-                .record(Stage::Gate, contexts.len() as u64, gate_timer);
-            let mut decoded_flags = vec![false; m];
-            let mut round_seq = vec![None; m];
-            for c in &contexts {
-                round_seq[c.stream_idx] = Some(c.meta.seq);
-            }
-            let mut events = Vec::new();
-            for idx in selection {
-                if idx >= m || decoded_flags[idx] {
-                    continue;
-                }
-                let Some(seq) = round_seq[idx] else { continue };
-                if !budget.can_spend() {
-                    break;
-                }
-                let s = &mut self.streams[idx];
-                let before = s.decoder.stats().cost_spent;
-                // A damaged/lossy file may be missing references; treat
-                // such packets as stranded rather than crashing the replay.
-                let decode_timer = self.telemetry.timer();
-                let decode_span = trace.begin(TraceStage::Decode, Some(idx), round, round_id);
-                let frames = match s.decoder.decode_closure(seq) {
-                    Ok(frames) => frames,
-                    Err(e) => {
-                        trace.end(decode_span, Track::Gate);
-                        let error = PipelineError::DecodeFail {
-                            stream_idx: idx,
-                            round,
-                            detail: e.to_string(),
-                        };
-                        self.telemetry.fault(error.kind(), Some(idx));
-                        push_fault(&mut fault_log, &error);
-                        continue;
-                    }
-                };
-                let decode_done = trace.end(decode_span, Track::Gate);
-                decode_us += decode_done.map_or(0, |d| d.dur_us);
-                self.telemetry
-                    .record(Stage::Decode, frames.len() as u64, decode_timer);
-                budget.charge(s.decoder.stats().cost_spent - before);
-                decoded_flags[idx] = true;
-                packets_decoded += 1;
-                packets_backfilled += frames.len().saturating_sub(1) as u64;
-                let Some(target) = frames.last() else {
-                    continue;
-                };
-                let infer_timer = self.telemetry.timer();
-                let infer_span = trace.begin(
-                    TraceStage::Infer,
-                    Some(idx),
-                    round,
-                    decode_done.map(|d| d.id),
-                );
-                let result = s.model.infer(target);
-                let infer_done = trace.end(infer_span, Track::Gate);
-                infer_us += infer_done.map_or(0, |d| d.dur_us);
-                self.telemetry.record(Stage::Infer, 1, infer_timer);
-                s.published = Some(result);
-                events.push(FeedbackEvent {
-                    stream_idx: idx,
-                    round,
-                    necessary: s.judge.feedback(result),
-                });
-            }
-            gate.feedback(&events);
-
-            for (i, s) in self.streams.iter().enumerate() {
-                accuracy.record(segment, decoded_flags[i], necessity[i]);
-                staleness.record(segment, s.published == Some(truths[i]), true);
-                if necessity[i] {
-                    necessary_total += 1;
-                    if decoded_flags[i] {
-                        necessary_decoded += 1;
-                    }
-                }
-            }
-
-            if insight.is_enabled() {
-                let outcomes: Vec<crate::insight::PacketOutcome> = contexts
-                    .iter()
-                    .map(|c| crate::insight::PacketOutcome {
-                        cost: c.pending_cost,
-                        necessary: necessity[c.stream_idx],
-                        decoded: decoded_flags[c.stream_idx],
-                    })
-                    .collect();
-                insight.record_round(&crate::insight::RoundOutcome {
-                    round,
-                    budget: budget.per_round,
-                    spent: budget.total_spent() - spent_before,
-                    offered: contexts.len(),
-                    decoded: decoded_flags.iter().filter(|&&d| d).count(),
-                    quarantined: 0,
-                    outcomes: &outcomes,
-                });
-            }
-
-            if self.autopilot.is_enabled() {
-                budget.per_round = self.autopilot.observe_round(
-                    round,
-                    gate,
-                    &insight,
-                    budget.total_spent() - spent_before,
-                    budget.per_round,
-                    None,
-                );
-            }
-            if let Some(done) = trace.end(round_span, Track::Gate) {
-                let parts = [
-                    (TraceStage::Parse, parse_done.map_or(0, |d| d.dur_us)),
-                    (TraceStage::GateSelect, select_done.map_or(0, |d| d.dur_us)),
-                    (TraceStage::Decode, decode_us),
-                    (TraceStage::Infer, infer_us),
-                ]
-                .into_iter()
-                .map(|(stage, us)| RoundPart {
-                    stage: stage.name().to_string(),
-                    us,
-                })
-                .collect();
-                trace.note_round(RoundBreakdown {
-                    round,
-                    total_us: done.dur_us,
-                    parts,
-                });
-            }
-        }
-
-        RoundSimReport {
-            policy: gate.name().to_string(),
-            streams: m,
-            rounds,
-            budget_per_round: self.config.budget_per_round,
-            packets_total: rounds * m as u64,
-            packets_decoded,
-            packets_backfilled,
-            cost_spent: budget.total_spent(),
-            accuracy,
-            staleness,
-            necessary_total,
-            necessary_decoded,
-            faults: fault_log,
-            health: HealthSummary::default(),
-            telemetry: self.telemetry.snapshot(),
-        }
+        });
+        self.core.report(gate, rounds)
     }
 }
 
@@ -417,6 +180,31 @@ mod tests {
         .run(&mut DecodeAll, 150);
         assert!(report.filtering_rate() > 0.5);
         assert!(report.mean_cost_per_round() < 2.0 + CostModel::default().max_cost() * 4.0);
+    }
+
+    #[test]
+    fn a_recording_that_switches_task_faults_only_its_stream() {
+        // Stream 1 opens with a fire frame, so its model detects fire; the
+        // person-counting frames after it are the stream's fault, never a
+        // panic of the run.
+        let mut streams = recorded_streams(3, 60);
+        let enc = EncoderConfig::new(Codec::H264);
+        let mut gen = generator_for(TaskKind::PersonCounting, 1, enc.fps);
+        let mut encoder = Encoder::for_stream(enc, 1, 1);
+        let mut packets: Vec<Packet> = (0..60).map(|_| encoder.encode(&gen.next_frame())).collect();
+        packets[0].scene.state = pg_scene::SceneState::Fire(false);
+        streams[1].1 = packets;
+        let config = SimConfig {
+            budget_per_round: 1e9,
+            ..SimConfig::default()
+        };
+        let report = ReplaySimulator::new(streams, config).run(&mut DecodeAll, 60);
+        assert!(!report.faults.is_empty(), "the mismatch must be reported");
+        assert!(report
+            .faults
+            .iter()
+            .all(|f| f.kind == "decode_fail" && f.stream_idx == Some(1)));
+        assert_eq!(report.health.streams_ever_quarantined, 1);
     }
 
     #[test]

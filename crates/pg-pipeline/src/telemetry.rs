@@ -8,8 +8,8 @@
 //! loops:
 //!
 //! * per-stage **item counters** and **latency histograms** (fixed
-//!   power-of-two microsecond buckets, atomic increments, no allocation on
-//!   the hot path);
+//!   power-of-two microsecond buckets under one short per-stage lock, no
+//!   allocation on the hot path);
 //! * a bounded **gate-decision audit ring** recording, per candidate
 //!   packet, the stream, round, gating confidence, closure cost and the
 //!   kept/dropped reason — fed by telemetry-aware policies (PacketGame's
@@ -99,36 +99,63 @@ pub fn bucket_upper_us(i: usize) -> u64 {
     }
 }
 
-/// Per-stage accumulator: counters plus the latency histogram. All fields
-/// are relaxed atomics — stages on different threads update concurrently
-/// without locks.
+/// Per-stage accumulator: counters plus the latency histogram, updated
+/// together under one short lock so a snapshot taken while other threads
+/// record always reads a consistent set (`items` and `total_us` belong to
+/// exactly `calls` spans). Independent relaxed atomics could be read
+/// mid-update.
+#[derive(Clone, Copy)]
 struct StageCell {
     /// Timed spans recorded.
-    calls: AtomicU64,
+    calls: u64,
     /// Items moved across all spans (packets, frames, candidates...).
-    items: AtomicU64,
+    items: u64,
     /// Sum of span latencies, µs (mean = total/calls).
-    total_us: AtomicU64,
+    total_us: u64,
     /// Power-of-two latency buckets.
-    buckets: [AtomicU64; HISTOGRAM_BUCKETS],
+    buckets: [u64; HISTOGRAM_BUCKETS],
 }
 
 impl StageCell {
-    fn new() -> Self {
-        StageCell {
-            calls: AtomicU64::new(0),
-            items: AtomicU64::new(0),
-            total_us: AtomicU64::new(0),
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-        }
+    const EMPTY: StageCell = StageCell {
+        calls: 0,
+        items: 0,
+        total_us: 0,
+        buckets: [0; HISTOGRAM_BUCKETS],
+    };
+
+    fn record(&mut self, items: u64, elapsed: Duration) {
+        let us = elapsed.as_micros().min(u128::from(u64::MAX)) as u64;
+        self.calls += 1;
+        self.items += items;
+        self.total_us += us;
+        self.buckets[bucket_index(us)] += 1;
     }
 
-    fn record(&self, items: u64, elapsed: Duration) {
-        let us = elapsed.as_micros().min(u128::from(u64::MAX)) as u64;
-        self.calls.fetch_add(1, Ordering::Relaxed);
-        self.items.fetch_add(items, Ordering::Relaxed);
-        self.total_us.fetch_add(us, Ordering::Relaxed);
-        self.buckets[bucket_index(us)].fetch_add(1, Ordering::Relaxed);
+    fn snapshot(&self, stage: Stage) -> StageSnapshot {
+        StageSnapshot {
+            stage: stage.name().to_string(),
+            calls: self.calls,
+            items: self.items,
+            total_us: self.total_us,
+            mean_us: if self.calls == 0 {
+                0.0
+            } else {
+                self.total_us as f64 / self.calls as f64
+            },
+            p50_us: percentile_from_buckets(&self.buckets, 0.50),
+            p99_us: percentile_from_buckets(&self.buckets, 0.99),
+            latency_buckets: self
+                .buckets
+                .iter()
+                .enumerate()
+                .filter(|(_, &c)| c > 0)
+                .map(|(i, &count)| LatencyBucket {
+                    le_us: bucket_upper_us(i),
+                    count,
+                })
+                .collect(),
+        }
     }
 }
 
@@ -239,7 +266,7 @@ struct StreamFaultCell {
 }
 
 struct TelemetryInner {
-    stages: [StageCell; 4],
+    stages: [Mutex<StageCell>; 4],
     gate_kept: AtomicU64,
     gate_dropped: AtomicU64,
     /// Total audit entries ever pushed (the rings only retain the tail).
@@ -319,7 +346,7 @@ impl Telemetry {
     pub fn with_audit_capacity(capacity: usize) -> Self {
         Telemetry {
             inner: Some(Arc::new(TelemetryInner {
-                stages: std::array::from_fn(|_| StageCell::new()),
+                stages: std::array::from_fn(|_| Mutex::new(StageCell::EMPTY)),
                 gate_kept: AtomicU64::new(0),
                 gate_dropped: AtomicU64::new(0),
                 audit_total: AtomicU64::new(0),
@@ -405,8 +432,8 @@ impl Telemetry {
     /// many packets/frames/candidates the span moved.
     #[inline]
     pub fn record(&self, stage: Stage, items: u64, started: Option<Instant>) {
-        if let (Some(inner), Some(t0)) = (&self.inner, started) {
-            inner.stages[stage.index()].record(items, t0.elapsed());
+        if let Some(t0) = started {
+            self.record_duration(stage, items, t0.elapsed());
         }
     }
 
@@ -415,7 +442,7 @@ impl Telemetry {
     #[inline]
     pub fn record_duration(&self, stage: Stage, items: u64, elapsed: Duration) {
         if let Some(inner) = &self.inner {
-            inner.stages[stage.index()].record(items, elapsed);
+            inner.stages[stage.index()].lock().record(items, elapsed);
         }
     }
 
@@ -482,16 +509,7 @@ impl Telemetry {
             return Some(TelemetrySnapshot {
                 stages: Stage::ALL
                     .iter()
-                    .map(|&s| StageSnapshot {
-                        stage: s.name().to_string(),
-                        calls: 0,
-                        items: 0,
-                        total_us: 0,
-                        mean_us: 0.0,
-                        p50_us: 0,
-                        p99_us: 0,
-                        latency_buckets: Vec::new(),
-                    })
+                    .map(|&s| StageCell::EMPTY.snapshot(s))
                     .collect(),
                 gate: GateSnapshot {
                     kept: 0,
@@ -515,36 +533,9 @@ impl Telemetry {
         let stages = Stage::ALL
             .iter()
             .map(|&s| {
-                let cell = &inner.stages[s.index()];
-                let buckets: Vec<u64> = cell
-                    .buckets
-                    .iter()
-                    .map(|b| b.load(Ordering::Relaxed))
-                    .collect();
-                let calls = cell.calls.load(Ordering::Relaxed);
-                let total_us = cell.total_us.load(Ordering::Relaxed);
-                StageSnapshot {
-                    stage: s.name().to_string(),
-                    calls,
-                    items: cell.items.load(Ordering::Relaxed),
-                    total_us,
-                    mean_us: if calls == 0 {
-                        0.0
-                    } else {
-                        total_us as f64 / calls as f64
-                    },
-                    p50_us: percentile_from_buckets(&buckets, 0.50),
-                    p99_us: percentile_from_buckets(&buckets, 0.99),
-                    latency_buckets: buckets
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, &c)| c > 0)
-                        .map(|(i, &count)| LatencyBucket {
-                            le_us: bucket_upper_us(i),
-                            count,
-                        })
-                        .collect(),
-                }
+                // One consistent copy, taken under the cell's lock.
+                let cell = *inner.stages[s.index()].lock();
+                cell.snapshot(s)
             })
             .collect();
         // Reassemble the newest `capacity` decisions across shards: each

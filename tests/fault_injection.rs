@@ -126,6 +126,15 @@ fn execution_paths_contain_no_expect_or_unwrap() {
     }
 }
 
+/// The round core runs every simulator's decode/infer step, so it is held
+/// to the same rule as the execution-mode files above.
+#[test]
+fn round_core_contains_no_expect_or_unwrap() {
+    let src = include_str!("../crates/pg-pipeline/src/roundcore.rs");
+    let production = src.split("#[cfg(test)]").next().unwrap_or(src);
+    assert!(!production.contains(".expect(") && !production.contains(".unwrap("));
+}
+
 fn any_mode() -> impl Strategy<Value = ChunkFaultMode> {
     prop_oneof![
         Just(ChunkFaultMode::Truncate),
