@@ -7,6 +7,7 @@
 
 use pg_nn::loss::bce_with_logits;
 use pg_nn::optim::RmsProp;
+use pg_pipeline::autopilot::Decision;
 use pg_pipeline::gate::{FeedbackEvent, GatePolicy, PacketContext};
 use pg_pipeline::telemetry::Telemetry;
 
@@ -65,7 +66,7 @@ type TrainingSample = (Vec<f32>, Vec<f32>, f32, f32);
 /// retrain sees a couple of windows of post-shift feedback without growing
 /// without bound.
 const RETRAIN_RING: usize = 96;
-/// Full passes over the retained ring per [`GatePolicy::autopilot_retrain`]
+/// Full passes over the retained ring per [`Decision::Retrain`]
 /// call — enough RMSprop movement to matter, few enough to stay a
 /// sub-millisecond action.
 const RETRAIN_PASSES: usize = 4;
@@ -79,7 +80,7 @@ struct OnlineState {
     /// Accumulated samples.
     batch: Vec<TrainingSample>,
     /// Bounded per-stream ring of recent samples, kept for the autopilot's
-    /// retrain rung ([`GatePolicy::autopilot_retrain`]).
+    /// retrain rung ([`Decision::Retrain`]).
     replay: Vec<std::collections::VecDeque<TrainingSample>>,
     /// Update steps taken.
     steps: u64,
@@ -122,7 +123,7 @@ pub struct PacketGame {
     /// Per-stream autopilot fallback flags: `true` scores the stream from
     /// the temporal estimator alone (exploitation + exploration), bypassing
     /// the suspected-stale contextual predictor. Set via
-    /// [`GatePolicy::autopilot_fallback`]; empty when the autopilot never
+    /// [`Decision::Fallback`]; empty when the autopilot never
     /// intervened, so the flag costs one bounds-checked read per candidate.
     fallback: Vec<bool>,
 }
@@ -334,6 +335,57 @@ impl PacketGame {
     /// The temporal estimator's global round counter.
     pub fn rounds_started(&self) -> u64 {
         self.temporal.round()
+    }
+}
+
+impl PacketGame {
+    /// Put `stream_idx` on (or take it off) temporal-only fallback.
+    fn set_fallback(&mut self, stream_idx: usize, enabled: bool) -> bool {
+        if self.fallback.len() <= stream_idx {
+            if !enabled {
+                return true; // already off
+            }
+            self.fallback.resize(stream_idx + 1, false);
+        }
+        self.fallback[stream_idx] = enabled;
+        true
+    }
+
+    /// Re-fit the predictor from `stream_idx`'s retained samples; `false`
+    /// when there is nothing to re-fit from.
+    fn retrain_stream(&mut self, stream_idx: usize) -> bool {
+        // Retraining needs the live-learning machinery (optimizer state and
+        // the retained sample ring); without it the ladder stops at the
+        // estimator reset and the autopilot reports the rung as unhonoured.
+        let Some(mut online) = self.online.take() else {
+            return false;
+        };
+        let samples: Vec<TrainingSample> = online
+            .replay
+            .get(stream_idx)
+            .map(|r| r.iter().cloned().collect())
+            .unwrap_or_default();
+        if samples.is_empty() {
+            self.online = Some(online);
+            return false;
+        }
+        let tasks = self.predictor.tasks();
+        let head = self.task_head.min(tasks - 1);
+        for _ in 0..RETRAIN_PASSES {
+            self.predictor.zero_grad();
+            for (v1, v2, t, label) in &samples {
+                let logits = self.predictor.forward_logits(v1, v2, f64::from(*t));
+                let dz = bce_with_logits(*label, logits[head]).1;
+                let mut grad = vec![0.0f32; tasks];
+                grad[head] = dz;
+                self.predictor.backward(&grad);
+            }
+            self.predictor.scale_grad(1.0 / samples.len() as f32);
+            self.predictor.step(&online.opt);
+            online.steps += 1;
+        }
+        self.online = Some(online);
+        true
     }
 }
 
@@ -572,55 +624,16 @@ impl GatePolicy for PacketGame {
         self.telemetry = telemetry;
     }
 
-    fn autopilot_fallback(&mut self, stream_idx: usize, enabled: bool) -> bool {
-        if self.fallback.len() <= stream_idx {
-            if !enabled {
-                return true; // already off
+    fn autopilot_command(&mut self, command: Decision) -> bool {
+        match command {
+            Decision::Fallback(i) => self.set_fallback(i, true),
+            Decision::Restore(i) => self.set_fallback(i, false),
+            Decision::ResetEstimator(i) => {
+                self.temporal.reset_stream(i);
+                true
             }
-            self.fallback.resize(stream_idx + 1, false);
+            Decision::Retrain(i) => self.retrain_stream(i),
         }
-        self.fallback[stream_idx] = enabled;
-        true
-    }
-
-    fn autopilot_reset_estimator(&mut self, stream_idx: usize) -> bool {
-        self.temporal.reset_stream(stream_idx);
-        true
-    }
-
-    fn autopilot_retrain(&mut self, stream_idx: usize) -> bool {
-        // Retraining needs the live-learning machinery (optimizer state and
-        // the retained sample ring); without it the ladder stops at the
-        // estimator reset and the autopilot reports the rung as unhonoured.
-        let Some(mut online) = self.online.take() else {
-            return false;
-        };
-        let samples: Vec<TrainingSample> = online
-            .replay
-            .get(stream_idx)
-            .map(|r| r.iter().cloned().collect())
-            .unwrap_or_default();
-        if samples.is_empty() {
-            self.online = Some(online);
-            return false;
-        }
-        let tasks = self.predictor.tasks();
-        let head = self.task_head.min(tasks - 1);
-        for _ in 0..RETRAIN_PASSES {
-            self.predictor.zero_grad();
-            for (v1, v2, t, label) in &samples {
-                let logits = self.predictor.forward_logits(v1, v2, f64::from(*t));
-                let dz = bce_with_logits(*label, logits[head]).1;
-                let mut grad = vec![0.0f32; tasks];
-                grad[head] = dz;
-                self.predictor.backward(&grad);
-            }
-            self.predictor.scale_grad(1.0 / samples.len() as f32);
-            self.predictor.step(&online.opt);
-            online.steps += 1;
-        }
-        self.online = Some(online);
-        true
     }
 
     fn export_stream_state(&self, stream_idx: usize) -> Option<Vec<u8>> {
@@ -871,19 +884,19 @@ mod tests {
     fn autopilot_hooks_are_honoured() {
         let mut gate = trained_gate(TaskKind::AnomalyDetection, 11);
         // Fallback and estimator reset are honoured unconditionally.
-        assert!(gate.autopilot_fallback(2, true));
+        assert!(gate.autopilot_command(Decision::Fallback(2)));
         assert_eq!(gate.fallback_streams(), vec![2]);
-        assert!(gate.autopilot_fallback(2, false));
+        assert!(gate.autopilot_command(Decision::Restore(2)));
         assert!(gate.fallback_streams().is_empty());
         // Turning fallback off for a never-flagged stream stays cheap.
-        assert!(gate.autopilot_fallback(40, false));
+        assert!(gate.autopilot_command(Decision::Restore(40)));
         assert!(gate.fallback.len() <= 3);
-        assert!(gate.autopilot_reset_estimator(0));
+        assert!(gate.autopilot_command(Decision::ResetEstimator(0)));
         // Retrain needs online learning...
-        assert!(!gate.autopilot_retrain(0), "no online state: unhonoured");
+        assert!(!gate.autopilot_command(Decision::Retrain(0)), "no online state: unhonoured");
         gate.enable_online_learning(OnlineConfig::default());
         // ...and retained feedback for the stream.
-        assert!(!gate.autopilot_retrain(0), "no samples yet: unhonoured");
+        assert!(!gate.autopilot_command(Decision::Retrain(0)), "no samples yet: unhonoured");
         let sim_config = SimConfig {
             budget_per_round: 4.0,
             segments: 4,
@@ -891,7 +904,7 @@ mod tests {
         };
         RoundSimulator::uniform(TaskKind::AnomalyDetection, 6, 11, sim_config).run(&mut gate, 60);
         let steps_before = gate.online_steps();
-        assert!(gate.autopilot_retrain(0), "ring populated: must retrain");
+        assert!(gate.autopilot_command(Decision::Retrain(0)), "ring populated: must retrain");
         assert!(gate.online_steps() > steps_before);
     }
 
@@ -910,8 +923,8 @@ mod tests {
         let mut a = PacketGame::new(config.clone(), train_for_task(task, &config, 21));
         let mut b = PacketGame::new(config.clone(), train_for_task(task, &config, 22));
         for s in 0..8 {
-            a.autopilot_fallback(s, true);
-            b.autopilot_fallback(s, true);
+            a.autopilot_command(Decision::Fallback(s));
+            b.autopilot_command(Decision::Fallback(s));
         }
         let ra = RoundSimulator::uniform(task, 8, 5, sim_config).run(&mut a, 200);
         let rb = RoundSimulator::uniform(task, 8, 5, sim_config).run(&mut b, 200);

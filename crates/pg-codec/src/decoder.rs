@@ -15,10 +15,11 @@ use crate::cost::CostModel;
 use crate::deps::DependencyTracker;
 use crate::error::CodecError;
 use crate::frame::FrameType;
-use crate::packet::Packet;
+use crate::packet::{Packet, PacketMeta};
 
 /// A decoded RGB frame (represented by the scene ground truth the packet
-/// carried; only obtainable through [`Decoder::decode`]).
+/// carried): what [`Decoder::decode`] returns, or what a packet of a
+/// closure claimed with [`Decoder::claim_closure`] decodes to.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DecodedFrame {
     /// Stream the frame belongs to.
@@ -31,6 +32,20 @@ pub struct DecodedFrame {
     pub frame_type: FrameType,
     /// The frame content.
     pub scene: SceneFrame,
+}
+
+impl From<&Packet> for DecodedFrame {
+    /// The frame a packet decodes to. Only sound once the packet's
+    /// references are decoded, which [`Decoder`] enforces.
+    fn from(packet: &Packet) -> Self {
+        DecodedFrame {
+            stream_id: packet.meta.stream_id,
+            seq: packet.meta.seq,
+            pts: packet.meta.pts,
+            frame_type: packet.meta.frame_type,
+            scene: packet.scene,
+        }
+    }
 }
 
 /// Cumulative decoder statistics.
@@ -96,9 +111,9 @@ impl Decoder {
 
     /// Register an arrived packet without decoding it. Must be called for
     /// every packet of the stream, in decode order, whether or not it will
-    /// be decoded — this is the parser→gate hand-off.
+    /// be decoded — this is the parser→gate hand-off. The packet's own
+    /// `stream_id` is wire data and is not checked against the decoder's.
     pub fn ingest(&mut self, packet: Packet) {
-        debug_assert_eq!(packet.meta.stream_id, self.stream_id);
         self.tracker.note_arrival(&packet);
         self.stats.ingested += 1;
         let gop = packet.meta.gop_id;
@@ -117,6 +132,12 @@ impl Decoder {
         }
     }
 
+    /// Metadata of the stored packet `seq`, if it arrived and is still
+    /// retained.
+    pub fn meta(&self, seq: u64) -> Option<PacketMeta> {
+        self.store.get(&seq).map(|p| p.meta)
+    }
+
     /// The *pending cost* of decoding packet `seq` right now, i.e. the cost
     /// of its undecoded dependency closure including itself (Fig. 6).
     pub fn pending_cost(&self, seq: u64) -> Option<f64> {
@@ -128,40 +149,44 @@ impl Decoder {
     /// decoded, and [`CodecError::UnknownPacket`] if the packet was never
     /// ingested. Decoding an already-decoded packet is idempotent and free.
     pub fn decode(&mut self, seq: u64) -> Result<DecodedFrame, CodecError> {
-        let packet = self
-            .store
-            .get(&seq)
-            .ok_or(CodecError::UnknownPacket {
-                stream_id: self.stream_id,
-                seq,
-            })?
-            .clone();
-        let already = self.tracker.is_decoded(seq);
-        if !already {
-            for &r in &packet.refs {
-                if !self.tracker.is_decoded(r) {
-                    return Err(CodecError::MissingReference {
-                        stream_id: self.stream_id,
-                        seq,
-                        missing: r,
-                    });
-                }
-            }
-            self.tracker.mark_decoded(seq);
-            self.stats.cost_spent += self.costs.cost(packet.meta.frame_type);
-            match packet.meta.frame_type {
-                FrameType::I => self.stats.decoded_i += 1,
-                FrameType::P => self.stats.decoded_p += 1,
-                FrameType::B => self.stats.decoded_b += 1,
+        let packet = self.store.get(&seq).ok_or(CodecError::UnknownPacket {
+            stream_id: self.stream_id,
+            seq,
+        })?;
+        if !self.tracker.is_decoded(seq) {
+            if let Some(&missing) = packet.refs.iter().find(|&&r| !self.tracker.is_decoded(r)) {
+                return Err(CodecError::MissingReference {
+                    stream_id: self.stream_id,
+                    seq,
+                    missing,
+                });
             }
         }
-        Ok(DecodedFrame {
-            stream_id: packet.meta.stream_id,
-            seq: packet.meta.seq,
-            pts: packet.meta.pts,
-            frame_type: packet.meta.frame_type,
-            scene: packet.scene,
-        })
+        let frame = DecodedFrame::from(packet);
+        let meta = packet.meta;
+        self.mark_decoded(&meta);
+        Ok(frame)
+    }
+
+    /// Claim `seq`'s pending dependency closure: mark every packet of it
+    /// decoded, charge the newly decoded ones to the stats, and return the
+    /// packets in decode order (references first, `seq` last). This one
+    /// closure walk serves both inline decoding
+    /// ([`Decoder::decode_closure`]) and handing the closure to a decode
+    /// worker. Nothing is marked when any packet of the closure is
+    /// unavailable ([`CodecError::UnknownPacket`]).
+    pub fn claim_closure(&mut self, seq: u64) -> Result<Vec<Packet>, CodecError> {
+        let stream_id = self.stream_id;
+        let unknown = |seq| CodecError::UnknownPacket { stream_id, seq };
+        let closure = self.tracker.pending_closure(seq).ok_or(unknown(seq))?;
+        let packets = closure
+            .iter()
+            .map(|s| self.store.get(s).cloned().ok_or(unknown(*s)))
+            .collect::<Result<Vec<Packet>, CodecError>>()?;
+        for p in &packets {
+            self.mark_decoded(&p.meta);
+        }
+        Ok(packets)
     }
 
     /// Decode `seq` together with its whole undecoded dependency closure,
@@ -169,18 +194,22 @@ impl Decoder {
     /// charges the full closure cost. This is Algorithm 1's reference
     /// completion step.
     pub fn decode_closure(&mut self, seq: u64) -> Result<Vec<DecodedFrame>, CodecError> {
-        let closure = self
-            .tracker
-            .pending_closure(seq)
-            .ok_or(CodecError::UnknownPacket {
-                stream_id: self.stream_id,
-                seq,
-            })?;
-        let mut frames = Vec::with_capacity(closure.len());
-        for s in closure {
-            frames.push(self.decode(s)?);
+        let packets = self.claim_closure(seq)?;
+        Ok(packets.iter().map(DecodedFrame::from).collect())
+    }
+
+    /// Mark a packet decoded and charge it, unless it already was.
+    fn mark_decoded(&mut self, meta: &PacketMeta) {
+        if self.tracker.is_decoded(meta.seq) {
+            return;
         }
-        Ok(frames)
+        self.tracker.mark_decoded(meta.seq);
+        self.stats.cost_spent += self.costs.cost(meta.frame_type);
+        match meta.frame_type {
+            FrameType::I => self.stats.decoded_i += 1,
+            FrameType::P => self.stats.decoded_p += 1,
+            FrameType::B => self.stats.decoded_b += 1,
+        }
     }
 }
 

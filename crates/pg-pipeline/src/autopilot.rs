@@ -237,13 +237,22 @@ struct AutopilotState {
     ledger: VecDeque<AutopilotAction>,
 }
 
-/// A ladder rung or budget move about to execute (collected first, then
-/// applied, so ledger writes don't alias the ladder iteration).
+/// A recovery-ladder step for one stream, handed to the gate through
+/// [`GatePolicy::autopilot_command`]. The ladder collects its decisions
+/// first, then applies them, so ledger writes don't alias its iteration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Decision {
+pub enum Decision {
+    /// Rung 1: score the stream from its redundancy estimator alone,
+    /// ignoring the (suspected-stale) contextual predictor.
     Fallback(usize),
+    /// Rung 2: drop the stream's redundancy-estimator history (sliding
+    /// window + aging state) so post-shift feedback is not averaged
+    /// against the stale regime.
     ResetEstimator(usize),
+    /// Rung 3: re-fit the contextual predictor for the stream from the
+    /// recent feedback the policy retained.
     Retrain(usize),
+    /// Probation over: take the stream off fallback.
     Restore(usize),
 }
 
@@ -367,48 +376,36 @@ impl Autopilot {
             }
         }
         for d in decisions {
-            let (stream, action, honoured, detail) = match d {
-                Decision::Fallback(i) => (
-                    i,
-                    "fallback",
-                    gate.autopilot_fallback(i, true),
-                    format!(
+            let honoured = gate.autopilot_command(d);
+            let (stream, action, detail) = match d {
+                Decision::Fallback(i) => {
+                    state.fallbacks += 1;
+                    let detail = format!(
                         "drift flag held {} rounds; temporal-only scoring engaged",
                         cfg.hysteresis_rounds
-                    ),
-                ),
-                Decision::ResetEstimator(i) => (
-                    i,
-                    "estimator_reset",
-                    gate.autopilot_reset_estimator(i),
-                    "window + aging state dropped to forget the stale regime".to_string(),
-                ),
-                Decision::Retrain(i) => (
-                    i,
-                    "retrain",
-                    gate.autopilot_retrain(i),
-                    "predictor re-fit from retained feedback samples".to_string(),
-                ),
+                    );
+                    (i, "fallback", detail)
+                }
+                Decision::ResetEstimator(i) => {
+                    state.estimator_resets += 1;
+                    let detail = "window + aging state dropped to forget the stale regime";
+                    (i, "estimator_reset", detail.to_string())
+                }
+                Decision::Retrain(i) => {
+                    state.retrains += 1;
+                    let detail = "predictor re-fit from retained feedback samples";
+                    (i, "retrain", detail.to_string())
+                }
                 Decision::Restore(i) => {
-                    let honoured = gate.autopilot_fallback(i, false);
+                    state.restores += 1;
                     insight.clear_stale(i);
-                    (
-                        i,
-                        "restore",
-                        honoured,
-                        format!(
-                            "probation complete after {} rounds; drift detectors re-warmed",
-                            cfg.probation_rounds
-                        ),
-                    )
+                    let detail = format!(
+                        "probation complete after {} rounds; drift detectors re-warmed",
+                        cfg.probation_rounds
+                    );
+                    (i, "restore", detail)
                 }
             };
-            match action {
-                "fallback" => state.fallbacks += 1,
-                "estimator_reset" => state.estimator_resets += 1,
-                "retrain" => state.retrains += 1,
-                _ => state.restores += 1,
-            }
             record(&mut state, round, Some(stream as u64), action, honoured, detail);
         }
 
@@ -583,16 +580,13 @@ mod tests {
             c.iter().map(|x| x.stream_idx).collect()
         }
         fn feedback(&mut self, _e: &[FeedbackEvent]) {}
-        fn autopilot_fallback(&mut self, i: usize, on: bool) -> bool {
-            self.calls.push(format!("fallback({i},{on})"));
-            true
-        }
-        fn autopilot_reset_estimator(&mut self, i: usize) -> bool {
-            self.calls.push(format!("reset({i})"));
-            true
-        }
-        fn autopilot_retrain(&mut self, i: usize) -> bool {
-            self.calls.push(format!("retrain({i})"));
+        fn autopilot_command(&mut self, command: Decision) -> bool {
+            self.calls.push(match command {
+                Decision::Fallback(i) => format!("fallback({i},true)"),
+                Decision::Restore(i) => format!("fallback({i},false)"),
+                Decision::ResetEstimator(i) => format!("reset({i})"),
+                Decision::Retrain(i) => format!("retrain({i})"),
+            });
             true
         }
     }

@@ -746,16 +746,16 @@ impl ClusterSim {
 
             // Generate, encode, ingest and offer every stream's packet.
             let core = &mut self.core;
-            core.begin_round(round);
+            core.gate.begin_round(round);
             for (i, s) in self.streams.iter_mut().enumerate() {
                 let frame = s.generator.next_frame();
                 core.observe(i, frame.state);
                 let packet = s.encoder.encode(&frame);
                 let meta = packet.meta;
-                core.ingest(i, round, packet);
+                core.gate.ingest(i, round, packet);
                 core.offer(i, round, meta, None);
             }
-            offered += core.contexts.len() as u64;
+            offered += core.gate.contexts.len() as u64;
 
             // Every instance selects every round — even with an empty
             // candidate list — so per-round policy state (UCB round
@@ -765,6 +765,7 @@ impl ClusterSim {
             let owner = &self.owner;
             for (k, gate) in gates.iter_mut().enumerate() {
                 let contexts: Vec<PacketContext> = core
+                    .gate
                     .contexts
                     .iter()
                     .filter(|c| owner[c.stream_idx] == k)
@@ -772,11 +773,14 @@ impl ClusterSim {
                     .collect();
                 let mut selection = gate.select(round, &contexts, budgets[k].per_round);
                 selection.retain(|&idx| owner.get(idx) == Some(&k));
-                core.decode_selected(&selection, round, None, &mut budgets[k]);
+                // The instance's budget is the core's for this walk.
+                std::mem::swap(&mut core.gate.budget, &mut budgets[k]);
+                core.decode_selected(&selection, round, None);
+                std::mem::swap(&mut core.gate.budget, &mut budgets[k]);
                 gate.feedback(&core.events);
             }
             for (i, d) in decoded.iter_mut().enumerate() {
-                d[round as usize] = core.decoded[i];
+                d[round as usize] = core.gate.decoded[i];
             }
         }
 

@@ -47,6 +47,15 @@
 //! bit-flipped sequence number cannot trick the gate into closing a round
 //! before the round's real batch arrived.
 //!
+//! ## The gate
+//!
+//! The gate stage owns the same `GateCore` (crate-internal) the
+//! simulators run on: per-stream decoders, stream health, the fault
+//! ledger, the budget, and the one `offer` rule and budgeted claim walk.
+//! Only the wire checks (implausible sequence numbers, covered-but-absent
+//! records, the stall timeout) and what happens to a claimed closure are
+//! its own: each claim becomes a decode job for the pool (DESIGN.md D14).
+//!
 //! Decode work is synthetic: either a deterministic xorshift spin loop
 //! proportional to decode cost ([`WorkKind::Spin`]) or a sleep modelling
 //! hardware-offloaded decoding ([`WorkKind::Offload`]), calibrated by
@@ -73,19 +82,17 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
 
-use pg_codec::{
-    CostModel, DependencyTracker, EncoderConfig, Packet, PacketParser,
-};
+use pg_codec::{CostModel, DecodedFrame, EncoderConfig, Packet, PacketParser};
 use pg_scene::TaskKind;
 
+use crate::budget::RoundBudget;
 use crate::fault::{
-    push_fault, FaultPlan, FaultRecord, HealthSummary, PipelineError, QuarantineConfig,
-    StreamHealth,
+    FaultPlan, FaultRecord, HealthSummary, PipelineError, QuarantineConfig, StreamHealth,
 };
-use crate::gate::{FeedbackEvent, GatePolicy, PacketContext};
+use crate::gate::{FeedbackEvent, GatePolicy};
 use crate::insight::RoundOutcome;
 use crate::round::RegimeShift;
-use crate::roundcore::{close_round, infer, note_fault};
+use crate::roundcore::{close_round, infer, GateCore};
 use crate::steal::{steal_pool, PoolWorker, StealPool};
 use crate::telemetry::{Stage, Telemetry, TelemetrySnapshot};
 use crate::trace::{SpanId, SpanToken, TraceStage, Track};
@@ -769,7 +776,7 @@ impl ConcurrentPipeline {
             // End of input for the decode pool: workers drain every queued
             // job, then exit.
             pool.close();
-            let mut gate_stats = match gate_result {
+            let mut stats = match gate_result {
                 Ok(stats) => stats,
                 Err(payload) => std::panic::resume_unwind(payload),
             };
@@ -781,8 +788,7 @@ impl ConcurrentPipeline {
                     stage,
                     detail: "thread panicked".to_string(),
                 };
-                self.telemetry.fault(error.kind(), None);
-                push_fault(&mut gate_stats.faults, &error);
+                stats.core.note_fault(&error, cfg.rounds, false);
             };
             if producer_handle.join().is_err() {
                 join_fault("producer");
@@ -818,8 +824,7 @@ impl ConcurrentPipeline {
             }
             // Faults reported after the gate finished its rounds.
             while let Ok(error) = fault_rx.try_recv() {
-                self.telemetry.fault(error.kind(), error.stream_idx());
-                push_fault(&mut gate_stats.faults, &error);
+                stats.core.note_fault(&error, cfg.rounds, false);
             }
 
             ConcurrentReport {
@@ -828,15 +833,15 @@ impl ConcurrentPipeline {
                 parser_shards: shards,
                 bytes_parsed,
                 packets_parsed,
-                packets_decoded: gate_stats.decoded,
+                packets_decoded: stats.core.packets_decoded,
                 frames_decoded,
                 frames_per_stream,
                 cost_spent,
                 wall: start.elapsed(),
-                gate_time: gate_stats.gate_time,
-                round_latency_us: gate_stats.round_latency_us,
-                faults: gate_stats.faults,
-                health: gate_stats.health,
+                gate_time: stats.gate_time,
+                round_latency_us: stats.round_latency_us,
+                health: stats.core.health.summary(),
+                faults: stats.core.faults,
                 telemetry: self.telemetry.snapshot(),
             }
         })
@@ -1032,12 +1037,9 @@ fn decode_worker(
             });
             continue;
         }
-        let Some(target) = job.closure.last().cloned() else {
-            let _ = err_tx.send(PipelineError::DecodeFail {
-                stream_idx: job.stream_idx,
-                round: job.round,
-                detail: "empty decode closure".to_string(),
-            });
+        let n = job.closure.len() as u64;
+        // A claimed closure always ends with its target packet.
+        let Some(target) = job.closure.pop() else {
             continue;
         };
         let decode_timer = telemetry.timer();
@@ -1049,11 +1051,11 @@ fn decode_worker(
         );
         work.decode_work(job.cost);
         let decoded_span = trace.end(decode_span, track);
-        telemetry.record(Stage::Decode, job.closure.len() as u64, decode_timer);
-        frames += job.closure.len() as u64;
+        telemetry.record(Stage::Decode, n, decode_timer);
+        frames += n;
         cost += job.cost;
         if let Some(slot) = per_stream.get_mut(job.stream_idx) {
-            *slot += job.closure.len() as u64;
+            *slot += n;
         }
         let item = InferItem {
             stream_idx: job.stream_idx,
@@ -1068,12 +1070,12 @@ fn decode_worker(
     (frames, cost, per_stream)
 }
 
+/// What the gate stage hands back: its gate-side state, for the report
+/// and the faults recorded after its last round, plus its timings.
 struct GateStats {
-    decoded: u64,
+    core: GateCore,
     gate_time: Duration,
     round_latency_us: Vec<u64>,
-    faults: Vec<FaultRecord>,
-    health: HealthSummary,
 }
 
 /// Gate-side ingest state, updated *monotonically* at batch receipt so
@@ -1155,11 +1157,10 @@ impl GateIngest {
     }
 }
 
-/// Reusable per-round buffers for the gate stage. At m = 1024 the round
-/// loop used to re-allocate seven Vecs per round and sort whole `Packet`
-/// values; together with per-packet store pruning that produced a scaling
-/// cliff where gate-side bookkeeping outweighed prediction itself. All of
-/// these are grow-only: steady-state rounds never touch the allocator.
+/// Reusable per-round buffers for the gate stage's canonical batch
+/// processing. All of these are grow-only: steady-state rounds never touch
+/// the allocator.
+#[derive(Default)]
 struct RoundScratch {
     /// Batch keys due for canonical processing this round.
     due: Vec<u64>,
@@ -1170,29 +1171,8 @@ struct RoundScratch {
     order: Vec<u32>,
     /// This round's in-band faults, sorted by stream.
     flts: Vec<BatchFault>,
-    /// Gate candidates offered to `select`.
-    contexts: Vec<PacketContext>,
-    /// Per-stream: offered a candidate this round.
-    has_candidate: Vec<bool>,
-    /// Per-stream: decode job dispatched this round.
-    sent: Vec<bool>,
     /// Feedback events drained from the inference stage.
     events: Vec<FeedbackEvent>,
-}
-
-impl RoundScratch {
-    fn new(m: usize) -> Self {
-        RoundScratch {
-            due: Vec::new(),
-            pkts: Vec::new(),
-            order: Vec::new(),
-            flts: Vec::new(),
-            contexts: Vec::with_capacity(m),
-            has_candidate: vec![false; m],
-            sent: vec![false; m],
-            events: Vec::new(),
-        }
-    }
 }
 
 #[allow(clippy::too_many_lines, clippy::too_many_arguments)]
@@ -1207,10 +1187,16 @@ fn gate_stage(
     telemetry: &Telemetry,
 ) -> GateStats {
     let m = cfg.streams;
-    let mut trackers: Vec<DependencyTracker> = (0..m).map(|_| DependencyTracker::new()).collect();
-    let mut stores: Vec<BTreeMap<u64, Packet>> = (0..m).map(|_| BTreeMap::new()).collect();
-    let mut health = StreamHealth::new(m, cfg.quarantine);
-    let mut faults: Vec<FaultRecord> = Vec::new();
+    // The same gate-side state the simulators run on. The runtime's
+    // budget is set per round (cluster cell or autopilot retune).
+    let mut core = GateCore::new(
+        (0..m).map(|i| (i as u32, cfg.encoder.codec)),
+        cfg.costs,
+        RoundBudget::new(0.0),
+        cfg.quarantine,
+    );
+    core.telemetry = telemetry.clone();
+    core.budget.per_round = cfg.budget_per_round;
     let mut ingest = GateIngest {
         max_seen: vec![None; m],
         fault_cover: vec![None; m],
@@ -1221,51 +1207,45 @@ fn gate_stage(
     };
     // Batches received but not yet processed, keyed by producer round.
     let mut pending: BTreeMap<u64, Vec<ShardBatch>> = BTreeMap::new();
-    let mut scratch = RoundScratch::new(m);
-    // Highest GOP id whose predecessor horizon each stream's store has
-    // been pruned to — pruning runs once per GOP, not once per packet.
-    let mut pruned_gop: Vec<u64> = vec![0; m];
-    let mut decoded = 0u64;
+    let mut scratch = RoundScratch::default();
     let mut gate_time = Duration::ZERO;
     let mut round_latency_us = Vec::with_capacity(cfg.rounds as usize);
     let trace = telemetry.trace().clone();
-    // The SLO controller may retune this between rounds.
-    let mut budget_per_round = cfg.budget_per_round;
     let control = cfg.control.as_deref();
 
     for round in 0..cfg.rounds {
+        // The round span brackets the interval `round_latency_us`
+        // measures; the four sub-spans below tile its body (only
+        // `begin_round` and the insight round close fall in the gaps), so
+        // their durations attribute the round's wall time by stage. It
+        // opens first: opening a round span may wait on the trace's
+        // queue-wait lock, time that belongs to no stage.
+        let round_span = trace.begin(TraceStage::Round, None, round, None);
+        let round_id = round_span.as_ref().map(SpanToken::id);
         let round_start = Instant::now();
         // Cluster budget lands exactly on the round boundary: read once
         // here, never mid-round, so a coordinator reallocation can't split
         // one round's knapsack (§5.3 semantics hold within every round).
         if let Some(c) = control {
-            budget_per_round = c.budget();
+            core.budget.per_round = c.budget();
         }
-        // The round span brackets the same interval `round_latency_us`
-        // measures; the four sub-spans below tile its body (only
-        // `health.tick` and the insight round close fall in the gaps), so
-        // their durations attribute the round's wall time by stage.
-        let round_span = trace.begin(TraceStage::Round, None, round, None);
-        let round_id = round_span.as_ref().map(SpanToken::id);
         // Streams whose cooldown expired re-enter gating.
-        for i in health.tick(round) {
-            telemetry.stream_recovered(i);
-        }
+        core.begin_round(round);
 
         // Ingest until every live stream covers this round. Fault markers
         // and dead/closed streams count as covered, so one damaged stream
         // never stalls the other m−1.
         let ingest_span = trace.begin(TraceStage::IngestWait, None, round, round_id);
-        while !ingest.all_covered(m, round, &health) {
+        while !ingest.all_covered(m, round, &core.health) {
             match batch_rx.recv_timeout(cfg.stall_timeout) {
                 Ok(batch) => {
-                    ingest.receive(batch, cfg.rounds, &mut health, &mut pending);
+                    ingest.receive(batch, cfg.rounds, &mut core.health, &mut pending);
                 }
                 Err(RecvTimeoutError::Timeout) => {
                     // No parser output for a long time: declare the
                     // uncovered streams stalled so the round can proceed.
                     for i in 0..m {
-                        if !ingest.covered(i, round, &health) {
+                        if !ingest.covered(i, round, &core.health) {
                             let error = PipelineError::ParseCorrupt {
                                 stream_idx: i,
                                 offset: None,
@@ -1273,7 +1253,7 @@ fn gate_stage(
                             };
                             raise(&mut ingest.fault_cover[i], round);
                             ingest.link_stalled[i] = true;
-                            note_fault(telemetry, &mut faults, &mut health, &error, round, true);
+                            core.note_fault(&error, round, true);
                         }
                     }
                 }
@@ -1319,12 +1299,6 @@ fn gate_stage(
                 // once; a vacant slot would be a logic bug, not input
                 // damage, and skipping it keeps this path panic-free.
                 let Some(p) = slot.take() else { continue };
-                telemetry.insight().observe_packet(
-                    i,
-                    round,
-                    p.meta.frame_type.is_independent(),
-                    u64::from(p.meta.size),
-                );
                 if p.meta.seq >= cfg.rounds {
                     // An implausible sequence number is bit-flip damage
                     // that still framed as a record; taking it at face
@@ -1334,28 +1308,16 @@ fn gate_stage(
                         offset: None,
                         reason: format!("implausible sequence number {}", p.meta.seq),
                     };
-                    note_fault(telemetry, &mut faults, &mut health, &error, round, true);
+                    core.note_fault(&error, round, true);
                     continue;
                 }
-                trackers[i].note_arrival(&p);
-                // Keep stores bounded: drop entries older than two GOPs.
-                // Within a GOP nothing new becomes stale, so the O(store)
-                // sweep runs once per GOP boundary instead of per packet.
-                let gop = p.meta.gop_id;
-                let seq = p.meta.seq;
-                stores[i].insert(seq, p);
-                if gop > pruned_gop[i] {
-                    let horizon = gop.saturating_sub(1);
-                    stores[i].retain(|_, q| q.meta.gop_id >= horizon);
-                    pruned_gop[i] = gop;
-                }
+                core.ingest(i, round, p);
             }
             for f in scratch.flts.drain(..) {
                 // A fatal fault killed its stream at receipt; this writes
                 // the ledger entry at its canonical position.
-                let (error, fatal) = (&f.error, f.fatal);
-                note_fault(telemetry, &mut faults, &mut health, error, round, !fatal);
-                if fatal {
+                core.note_fault(&f.error, round, !f.fatal);
+                if f.fatal {
                     telemetry.stream_degraded(f.stream_idx);
                 }
             }
@@ -1367,7 +1329,7 @@ fn gate_stage(
             // loss is recorded but does not quarantine (the stream's data
             // path is fine).
             let strikes = matches!(error, PipelineError::DecodeFail { .. });
-            note_fault(telemetry, &mut faults, &mut health, &error, round, strikes);
+            core.note_fault(&error, round, strikes);
         }
 
         // Drain async feedback.
@@ -1379,15 +1341,14 @@ fn gate_stage(
             gate.feedback(&scratch.events);
         }
 
-        // Build contexts from the active streams that actually delivered
-        // this round's record. Quarantined/dead streams contribute no
-        // candidate, so their budget share is released to the rest.
-        scratch.contexts.clear();
+        // Offer the active streams that actually delivered this round's
+        // record. Quarantined/dead streams contribute no candidate, so
+        // their budget share is released to the rest.
         for i in 0..m {
-            if !health.is_active(i) {
+            if !core.health.is_active(i) {
                 continue;
             }
-            let Some(p) = stores[i].get(&round) else {
+            let Some(meta) = core.decoders[i].meta(round) else {
                 if ingest.fault_cover[i].is_some_and(|c| c >= round) || ingest.closed {
                     // Record already accounted as lost (fault marker or
                     // early end of input): skip quietly.
@@ -1400,83 +1361,48 @@ fn gate_stage(
                     offset: None,
                     reason: format!("record for round {round} lost"),
                 };
-                note_fault(telemetry, &mut faults, &mut health, &error, round, true);
+                core.note_fault(&error, round, true);
                 continue;
             };
-            let Some(pending_cost) = trackers[i].pending_cost(p.meta.seq, &cfg.costs) else {
-                let error = PipelineError::DependencyViolation {
-                    stream_idx: i,
-                    seq: p.meta.seq,
-                    detail: "pending cost unavailable (references lost)".to_string(),
-                };
-                note_fault(telemetry, &mut faults, &mut health, &error, round, true);
-                continue;
-            };
-            scratch.contexts.push(PacketContext {
-                stream_idx: i,
-                meta: p.meta,
-                pending_cost,
-                codec: cfg.encoder.codec,
-                oracle_necessary: None,
-            });
+            core.offer(i, round, meta, None, None);
         }
-        let contexts = &scratch.contexts;
         let assemble_done = trace.end(assemble_span, Track::Gate);
 
         let select_span = trace.begin(TraceStage::GateSelect, None, round, round_id);
         let t0 = Instant::now();
-        let selection = gate.select(round, contexts, budget_per_round);
+        let selection = gate.select(round, &core.contexts, core.budget.per_round);
         let select_elapsed = t0.elapsed();
         let select_done = trace.end(select_span, Track::Gate);
         gate_time += select_elapsed;
-        telemetry.record_duration(Stage::Gate, contexts.len() as u64, select_elapsed);
+        telemetry.record_duration(Stage::Gate, core.contexts.len() as u64, select_elapsed);
 
-        // Dispatch decode jobs under the budget. Selection entries are
-        // stream indices; entries without a candidate this round are
-        // skipped. The pool's injector is unbounded, so dispatch never
-        // blocks and never fails: if the pool died, the jobs sit queued
-        // and the dead workers surface as StageDown records at join.
+        // Dispatch: the core's budgeted walk claims each selected closure;
+        // each claimed closure becomes a decode job. The pool's injector
+        // is unbounded, so dispatch never blocks and never fails: if the
+        // pool died, the jobs sit queued and the dead workers surface as
+        // StageDown records at join.
         let dispatch_span = trace.begin(TraceStage::Dispatch, None, round, round_id);
         let dispatch_id = dispatch_span.as_ref().map(SpanToken::id);
-        scratch.has_candidate[..m].fill(false);
-        for c in contexts {
-            scratch.has_candidate[c.stream_idx] = true;
-        }
-        let mut spent = 0.0f64;
-        scratch.sent[..m].fill(false);
-        let sent = &mut scratch.sent;
-        for idx in selection {
-            if idx >= m || sent[idx] || !scratch.has_candidate[idx] {
-                continue;
-            }
-            if spent >= budget_per_round {
-                break;
-            }
-            let Some(mut job) = build_job(&mut trackers[idx], &stores[idx], &cfg.costs, idx, round)
-            else {
-                // The closure references records lost to damage: drop the
-                // in-flight closure and quarantine until the next clean
-                // GOP can rebuild it.
-                let error = PipelineError::DependencyViolation {
-                    stream_idx: idx,
-                    seq: round,
-                    detail: "dependency closure unavailable".to_string(),
-                };
-                note_fault(telemetry, &mut faults, &mut health, &error, round, true);
+        let mut picks = selection.iter();
+        while let Some(idx) = core.next_selected(&mut picks) {
+            let Some((closure, cost)) = core.claim(idx, round, false) else {
                 continue;
             };
-            spent += job.cost;
-            sent[idx] = true;
-            decoded += 1;
-            job.queue_span = trace.begin(TraceStage::QueueWait, Some(idx), round, dispatch_id);
-            pool.push(job);
+            pool.push(DecodeJob {
+                stream_idx: idx,
+                round,
+                closure,
+                cost,
+                queue_span: trace.begin(TraceStage::QueueWait, Some(idx), round, dispatch_id),
+            });
         }
         let dispatch_done = trace.end(dispatch_span, Track::Gate);
 
         let round_us = round_start.elapsed().as_micros() as u64;
         round_latency_us.push(round_us);
+        let spent = core.budget.spent_this_round();
         if let Some(c) = control {
-            let offered: f64 = contexts.iter().map(|ctx| ctx.pending_cost).sum();
+            let offered: f64 = core.contexts.iter().map(|ctx| ctx.pending_cost).sum();
             c.note_round(offered, spent, round_us);
         }
         // The runtime has no scene ground truth, so no hindsight-oracle
@@ -1484,11 +1410,11 @@ fn gate_stage(
         // advance here; the ring, drift and Lemma-1 channels stay live.
         let outcome = RoundOutcome {
             round,
-            budget: budget_per_round,
+            budget: core.budget.per_round,
             spent,
-            offered: contexts.len(),
-            decoded: sent.iter().filter(|&&d| d).count(),
-            quarantined: health.sidelined_count(),
+            offered: core.contexts.len(),
+            decoded: core.decoded.iter().filter(|&&d| d).count(),
+            quarantined: core.health.sidelined_count(),
             outcomes: &[],
         };
         let parts = [
@@ -1498,7 +1424,7 @@ fn gate_stage(
             (TraceStage::Dispatch, dispatch_done),
         ]
         .map(|(stage, closed)| (stage, closed.map_or(0, |c| c.dur_us)));
-        budget_per_round = close_round(
+        core.budget.per_round = close_round(
             telemetry,
             telemetry.autopilot(),
             gate,
@@ -1509,41 +1435,10 @@ fn gate_stage(
         );
     }
     GateStats {
-        decoded,
+        core,
         gate_time,
         round_latency_us,
-        faults,
-        health: health.summary(),
     }
-}
-
-/// Materialize the decode job for stream `idx`'s packet at `round`, or
-/// `None` when the dependency closure cannot be produced (references lost).
-fn build_job(
-    tracker: &mut DependencyTracker,
-    store: &BTreeMap<u64, Packet>,
-    costs: &CostModel,
-    idx: usize,
-    round: u64,
-) -> Option<DecodeJob> {
-    let seq = store.get(&round)?.meta.seq;
-    let closure_seqs = tracker.pending_closure(seq)?;
-    let mut closure = Vec::with_capacity(closure_seqs.len());
-    let mut cost = 0.0f64;
-    for s in &closure_seqs {
-        closure.push(store.get(s)?.clone());
-        cost += costs.cost(tracker.frame_type(*s)?);
-    }
-    for s in &closure_seqs {
-        tracker.mark_decoded(*s);
-    }
-    Some(DecodeJob {
-        stream_idx: idx,
-        round,
-        closure,
-        cost,
-        queue_span: None,
-    })
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -1555,13 +1450,12 @@ fn inference_stage(
     fb_tx: Sender<FeedbackEvent>,
     err_tx: Sender<PipelineError>,
     telemetry: Telemetry,
-) -> u64 {
+) {
     use pg_inference::redundancy::RedundancyJudge;
     use pg_inference::tasks::model_for;
     let mut models: Vec<_> = (0..m).map(|_| model_for(task)).collect();
     let mut judges: Vec<RedundancyJudge> = (0..m).map(|_| RedundancyJudge::new()).collect();
     let trace = telemetry.trace().clone();
-    let mut count = 0u64;
     while let Ok(item) = frame_rx.recv() {
         let infer_timer = telemetry.timer();
         let infer_span = trace.begin(
@@ -1570,18 +1464,11 @@ fn inference_stage(
             item.round,
             item.trace_parent,
         );
-        let decoded = pg_codec::DecodedFrame {
-            stream_id: item.target.meta.stream_id,
-            seq: item.target.meta.seq,
-            pts: item.target.meta.pts,
-            frame_type: item.target.meta.frame_type,
-            scene: item.target.scene,
-        };
         let i = item.stream_idx;
-        let result = infer(models[i].as_mut(), &decoded, i, item.round);
+        let frame = DecodedFrame::from(&item.target);
+        let result = infer(models[i].as_mut(), &frame, i, item.round);
         trace.end(infer_span, Track::Infer);
         telemetry.record(Stage::Infer, 1, infer_timer);
-        count += 1;
         let necessary = match result {
             Ok(result) => judges[i].feedback(result),
             Err(error) => {
@@ -1613,7 +1500,6 @@ fn inference_stage(
             necessary,
         });
     }
-    count
 }
 
 #[cfg(test)]

@@ -9,6 +9,7 @@
 
 use pg_codec::{Codec, PacketMeta};
 
+use crate::autopilot::Decision;
 use crate::telemetry::Telemetry;
 
 /// Gate-visible information about one stream's packet at the current round.
@@ -69,27 +70,11 @@ pub trait GatePolicy: Send {
     /// candidates simply leave the audit ring to the pipeline's counters.
     fn attach_telemetry(&mut self, _telemetry: Telemetry) {}
 
-    /// Autopilot rung 1: put `stream_idx` on (or take it off) temporal-only
-    /// fallback — the policy should score that stream from its redundancy
-    /// estimator alone, ignoring the (suspected-stale) contextual
-    /// predictor. Returns `true` if the policy honoured the request.
-    /// Default: the policy has no predictor to bypass, so nothing happens.
-    fn autopilot_fallback(&mut self, _stream_idx: usize, _enabled: bool) -> bool {
-        false
-    }
-
-    /// Autopilot rung 2: drop `stream_idx`'s redundancy-estimator history
-    /// (sliding window + aging state) so post-shift feedback is not
-    /// averaged against the stale regime. Returns `true` if the policy
-    /// honoured the request. Default: no estimator, no-op.
-    fn autopilot_reset_estimator(&mut self, _stream_idx: usize) -> bool {
-        false
-    }
-
-    /// Autopilot rung 3: re-fit the contextual predictor for `stream_idx`
-    /// from whatever recent feedback the policy retained. Returns `true`
-    /// if a re-fit actually ran. Default: nothing to retrain, no-op.
-    fn autopilot_retrain(&mut self, _stream_idx: usize) -> bool {
+    /// Carry out one step of the drift autopilot's recovery ladder for a
+    /// stream (see [`Decision`]). Returns `true` if the policy honoured
+    /// it. Default: the policy has no predictor to bypass, no estimator to
+    /// reset and nothing to retrain, so nothing happens.
+    fn autopilot_command(&mut self, _command: Decision) -> bool {
         false
     }
 
@@ -163,9 +148,9 @@ mod tests {
     #[test]
     fn autopilot_hooks_default_to_unhonoured_noops() {
         let mut gate = DecodeAll;
-        assert!(!gate.autopilot_fallback(0, true));
-        assert!(!gate.autopilot_reset_estimator(0));
-        assert!(!gate.autopilot_retrain(0));
+        assert!(!gate.autopilot_command(Decision::Fallback(0)));
+        assert!(!gate.autopilot_command(Decision::ResetEstimator(0)));
+        assert!(!gate.autopilot_command(Decision::Retrain(0)));
     }
 
     #[test]

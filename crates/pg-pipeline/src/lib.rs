@@ -22,11 +22,14 @@
 //!
 //! [`concurrent::ConcurrentPipeline`] is the threads-and-channels runtime
 //! that moves real bytes through sharded parsers and a decoder pool, used
-//! to measure wall-clock throughput and gate overheads. It charges the same
-//! exact closure costs and shares the core's fault accounting, inference
-//! task check and round epilogue. Given the same packets, a policy that
-//! ignores feedback (the runtime's arrives asynchronously) therefore
-//! decides identically in every mode.
+//! to measure wall-clock throughput and gate overheads. Its gate stage
+//! owns the core's gate-side state — per-stream decoders, stream health,
+//! fault ledger, budget — and runs the same offer rule and budgeted claim
+//! walk, handing each claimed closure to the pool instead of decoding it
+//! inline; it also shares the inference task check and round epilogue.
+//! Given the same packets, a policy that ignores feedback (the runtime's
+//! arrives asynchronously) therefore decides identically in every mode,
+//! and a faulty stream is quarantined identically.
 //!
 //! Gating policies plug in through the [`gate::GatePolicy`] trait; the
 //! `packetgame` crate provides PacketGame itself plus all baselines.

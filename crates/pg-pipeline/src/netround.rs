@@ -120,7 +120,7 @@ impl NetworkedRoundSimulator {
         // Transport loss is routine here, so a stream must strand several
         // consecutive closures before it is quarantined; the cooldown is
         // about one GOP, when an I-frame can rebuild it.
-        core.health = StreamHealth::new(m, QuarantineConfig::new(12, 3));
+        core.gate.health = StreamHealth::new(m, QuarantineConfig::new(12, 3));
         NetworkedRoundSimulator { core, nets }
     }
 
@@ -133,7 +133,7 @@ impl NetworkedRoundSimulator {
 
     /// Override the quarantine thresholds for failing streams.
     pub fn with_quarantine(mut self, quarantine: QuarantineConfig) -> Self {
-        self.core.health = StreamHealth::new(self.nets.len(), quarantine);
+        self.core.gate.health = StreamHealth::new(self.nets.len(), quarantine);
         self
     }
 
@@ -141,7 +141,7 @@ impl NetworkedRoundSimulator {
     /// [`RoundSimulator::with_telemetry`](crate::round::RoundSimulator::with_telemetry)).
     /// The network+parse advance of each round is timed as the parse stage.
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
-        self.core.telemetry = telemetry;
+        self.core.gate.telemetry = telemetry;
         self
     }
 
@@ -160,7 +160,7 @@ impl NetworkedRoundSimulator {
                 packets_arrived += packets.len() as u64;
                 let newest = packets.last().map(|p| p.meta);
                 for p in packets {
-                    core.ingest(i, round, p);
+                    core.gate.ingest(i, round, p);
                 }
                 if let Some(meta) = newest {
                     // A packet whose references were lost in transit is
@@ -171,7 +171,7 @@ impl NetworkedRoundSimulator {
                 }
             }
         });
-        let undecodable = self.core.undecodable;
+        let undecodable = self.core.gate.undecodable;
         let report = self.core.report(gate, rounds);
         NetworkedSimReport {
             policy: report.policy,

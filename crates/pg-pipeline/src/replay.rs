@@ -50,7 +50,7 @@ impl ReplaySimulator {
     /// Attach a telemetry handle (see
     /// [`RoundSimulator::with_telemetry`](crate::round::RoundSimulator::with_telemetry)).
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
-        self.core.telemetry = telemetry;
+        self.core.gate.telemetry = telemetry;
         self
     }
 
@@ -83,7 +83,7 @@ impl ReplaySimulator {
                 packet.meta.stream_id = i as u32;
                 core.observe(i, packet.scene.state);
                 let meta = packet.meta;
-                core.ingest(i, round, packet);
+                core.gate.ingest(i, round, packet);
                 // A damaged file can repeat or reorder sequence numbers;
                 // such packets are stranded (a dependency fault), not fatal.
                 core.offer(i, round, meta, None);

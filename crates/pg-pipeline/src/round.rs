@@ -178,7 +178,7 @@ impl RoundSimulator {
 
     /// Override the quarantine thresholds for failing streams.
     pub fn with_quarantine(mut self, quarantine: QuarantineConfig) -> Self {
-        self.core.health = StreamHealth::new(self.streams.len(), quarantine);
+        self.core.gate.health = StreamHealth::new(self.streams.len(), quarantine);
         self
     }
 
@@ -187,7 +187,7 @@ impl RoundSimulator {
     /// same handle is passed to the gate so telemetry-aware policies can
     /// feed the audit ring.
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
-        self.core.telemetry = telemetry;
+        self.core.gate.telemetry = telemetry;
         self
     }
 
@@ -245,12 +245,12 @@ impl RoundSimulator {
                 let arrived = match &mut parsers {
                     None => {
                         let meta = packet.meta;
-                        core.ingest(i, round, packet);
+                        core.gate.ingest(i, round, packet);
                         Some(meta)
                     }
                     // Unrecoverable stream (destroyed header): its bytes
                     // can never be framed.
-                    Some(_) if core.health.is_dead(i) => None,
+                    Some(_) if core.gate.health.is_dead(i) => None,
                     Some(ps) => parse_chunk(core, &mut ps[i], i, round, &packet),
                 };
                 if let Some(meta) = arrived {
@@ -284,7 +284,7 @@ fn parse_chunk(
                 if p.meta.seq == packet.meta.seq {
                     this_round = Some(p.meta);
                 }
-                core.ingest(i, round, p);
+                core.gate.ingest(i, round, p);
             }
             Ok(None) => return this_round,
             Err(e) => {
@@ -296,12 +296,12 @@ fn parse_chunk(
                 // A destroyed header is fatal: the stream can never be
                 // identified.
                 if parser.header().is_none() {
-                    core.note_fault(&error, round, false);
-                    core.health.kill(i);
-                    core.telemetry.stream_degraded(i);
+                    core.gate.note_fault(&error, round, false);
+                    core.gate.health.kill(i);
+                    core.gate.telemetry.stream_degraded(i);
                     return this_round;
                 }
-                core.note_fault(&error, round, true);
+                core.gate.note_fault(&error, round, true);
                 parser.resync();
             }
         }

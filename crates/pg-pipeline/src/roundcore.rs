@@ -1,21 +1,27 @@
-//! The round core shared by every round-based execution mode.
+//! The round core shared by every execution mode.
 //!
 //! The paper models gating as rounds (§4.1). Each round is the same loop
 //! no matter where packets come from: candidates → the policy's `select`
 //! → budgeted decode of each selected dependency closure (the last item
 //! may overshoot — Lemma 1) → inference → redundancy feedback → scoring.
-//! [`RoundCore`] owns that loop and everything it needs; the live round
-//! simulator, the replay simulator and the networked simulator are thin
-//! packet sources that call [`RoundCore::observe`], [`RoundCore::ingest`]
-//! and [`RoundCore::offer`] from their per-round feed.
 //!
-//! Budget accounting is exact: a decoded closure is charged the sum of its
-//! frames' [`CostModel`](pg_codec::CostModel) costs, the same sum the
-//! threaded runtime quotes when it builds a decode job. Given the same
-//! packets every mode therefore reaches the same knapsack cut in every
-//! round (DESIGN.md D14).
+//! [`GateCore`] is the gate-side half every mode owns, the threaded
+//! runtime's gate stage included: the per-stream [`Decoder`]s, stream
+//! health and the fault ledger, this round's candidates and decoded flags,
+//! the [`RoundBudget`], and the rules that fill and spend them —
+//! [`GateCore::ingest`], [`GateCore::offer`], and the budgeted walk over a
+//! selection ([`GateCore::next_selected`] + [`GateCore::claim`]). A claim
+//! is charged the sum of its frames' [`CostModel`] costs, so given the
+//! same packets every mode reaches the same knapsack cut in every round
+//! (DESIGN.md D14). Modes differ only in what happens to a claimed
+//! closure: the simulators decode and infer inline, the runtime hands it
+//! to its decode pool.
 //!
-//! Each round is scored on two accuracy metrics:
+//! [`RoundCore`] adds the simulator-only half — models, redundancy judges,
+//! ground-truth necessity and scoring — and runs the loop; the live, replay
+//! and networked simulators are thin packet sources that observe, ingest
+//! and offer from their per-round feed. Each round is scored on two
+//! accuracy metrics:
 //!
 //! * **inference accuracy** (primary; the paper's §4.1 objective): a
 //!   packet is correct iff it was decoded or was redundant — skipping a
@@ -26,11 +32,10 @@
 //!   round is correct iff that *published* result still matches ground
 //!   truth, so a missed change stays wrong until the next decode.
 //!
-//! [`note_fault`], [`infer`] and [`close_round`] are also used by the
-//! threaded runtime's gate and inference stages, so fault accounting, task
-//! checking and the round epilogue have one definition.
+//! [`infer`] and [`close_round`] are shared with the runtime's inference
+//! stage and round epilogue the same way.
 
-use pg_codec::{Codec, DecodedFrame, Decoder, Packet, PacketMeta};
+use pg_codec::{Codec, CostModel, DecodedFrame, Decoder, Packet, PacketMeta};
 use pg_inference::accuracy::OnlineAccuracy;
 use pg_inference::redundancy::RedundancyJudge;
 use pg_inference::tasks::{model_for, truth_result, InferenceModel, InferenceResult};
@@ -47,25 +52,6 @@ use crate::metrics::RoundSimReport;
 use crate::round::SimConfig;
 use crate::telemetry::{AuditReason, GateAuditEntry, Stage, Telemetry};
 use crate::trace::{ClosedSpan, RoundBreakdown, RoundPart, SpanId, SpanToken, TraceStage, Track};
-
-/// Record a classified fault: telemetry ledger, bounded report log, and
-/// (when `strike`) the stream's quarantine accounting.
-pub(crate) fn note_fault(
-    telemetry: &Telemetry,
-    ledger: &mut Vec<FaultRecord>,
-    health: &mut StreamHealth,
-    error: &PipelineError,
-    round: u64,
-    strike: bool,
-) {
-    telemetry.fault(error.kind(), error.stream_idx());
-    push_fault(ledger, error);
-    if let (true, Some(i)) = (strike, error.stream_idx()) {
-        if health.strike(i, round) {
-            telemetry.stream_degraded(i);
-        }
-    }
-}
 
 /// Run stream `stream_idx`'s model on a decoded frame. A frame whose scene
 /// belongs to another task is the stream's input fault, not the model's:
@@ -129,98 +115,70 @@ fn dur_us(span: Option<ClosedSpan>) -> u64 {
     span.map_or(0, |d| d.dur_us)
 }
 
-struct CoreStream {
-    decoder: Decoder,
-    codec: Codec,
-    model: Box<dyn InferenceModel>,
-    judge: RedundancyJudge,
-    /// The latest inference result — what downstream applications
-    /// currently see for this stream (drives the staleness metric).
-    published: Option<InferenceResult>,
-    /// Previous scene state (drives the paper's static necessity labels).
-    prev_state: Option<SceneState>,
-}
-
-/// Everything one gating round needs, for `m` streams. See module docs.
-pub(crate) struct RoundCore {
-    streams: Vec<CoreStream>,
-    pub(crate) config: SimConfig,
-    budget: RoundBudget,
-    accuracy: OnlineAccuracy,
-    staleness: OnlineAccuracy,
+/// The gate-side state every execution mode shares, for `m` streams. See
+/// module docs.
+pub(crate) struct GateCore {
+    pub(crate) decoders: Vec<Decoder>,
+    codecs: Vec<Codec>,
     pub(crate) health: StreamHealth,
     pub(crate) faults: Vec<FaultRecord>,
-    /// In-process fault injectors (decoder stalls, dropped feedback).
-    pub(crate) plan: FaultPlan,
     pub(crate) telemetry: Telemetry,
-    pub(crate) autopilot: Autopilot,
-    packets_decoded: u64,
-    packets_backfilled: u64,
-    necessary_total: u64,
-    necessary_decoded: u64,
-    /// Selected closures that failed to decode.
-    pub(crate) undecodable: u64,
-    // Per-round state, reused round to round.
+    pub(crate) budget: RoundBudget,
     /// This round's candidates, in stream order (sources offer streams
     /// in ascending index, so a stream's candidate is found by bisection).
     pub(crate) contexts: Vec<PacketContext>,
-    necessity: Vec<bool>,
-    truths: Vec<Option<InferenceResult>>,
-    /// Per stream: its candidate was decoded this round.
+    /// Per stream: its candidate's closure was claimed this round.
     pub(crate) decoded: Vec<bool>,
-    /// Feedback from the last [`RoundCore::decode_selected`] call.
-    pub(crate) events: Vec<FeedbackEvent>,
+    /// Closures claimed (one per decoded target packet).
+    pub(crate) packets_decoded: u64,
+    /// Reference packets decoded along with a target.
+    packets_backfilled: u64,
+    /// Selected closures that could not be claimed.
+    pub(crate) undecodable: u64,
     /// Packets ingested this round (the parse stage's item count).
     ingested: u64,
 }
 
-impl RoundCore {
-    /// A core over `streams`, each given as (decoder stream id, task,
+impl GateCore {
+    /// Gate-side state over `streams`, each given as (decoder stream id,
     /// codec).
-    pub(crate) fn new(config: SimConfig, streams: Vec<(u32, TaskKind, Codec)>) -> Self {
-        let m = streams.len();
-        RoundCore {
-            streams: streams
-                .into_iter()
-                .map(|(id, task, codec)| CoreStream {
-                    decoder: Decoder::new(id, config.cost_model),
-                    codec,
-                    model: model_for(task),
-                    judge: RedundancyJudge::new(),
-                    published: None,
-                    prev_state: None,
-                })
-                .collect(),
-            config,
-            budget: RoundBudget::new(config.budget_per_round),
-            accuracy: OnlineAccuracy::with_segments(config.segments),
-            staleness: OnlineAccuracy::with_segments(config.segments),
-            health: StreamHealth::new(m, QuarantineConfig::default()),
+    pub(crate) fn new(
+        streams: impl IntoIterator<Item = (u32, Codec)>,
+        costs: CostModel,
+        budget: RoundBudget,
+        quarantine: QuarantineConfig,
+    ) -> Self {
+        let (decoders, codecs): (Vec<Decoder>, Vec<Codec>) = streams
+            .into_iter()
+            .map(|(id, codec)| (Decoder::new(id, costs), codec))
+            .unzip();
+        let m = decoders.len();
+        GateCore {
+            decoders,
+            codecs,
+            health: StreamHealth::new(m, quarantine),
             faults: Vec::new(),
-            plan: FaultPlan::default(),
             telemetry: Telemetry::disabled(),
-            autopilot: Autopilot::disabled(),
+            budget,
+            contexts: Vec::with_capacity(m),
+            decoded: vec![false; m],
             packets_decoded: 0,
             packets_backfilled: 0,
-            necessary_total: 0,
-            necessary_decoded: 0,
             undecodable: 0,
-            contexts: Vec::with_capacity(m),
-            necessity: vec![false; m],
-            truths: vec![None; m],
-            decoded: vec![false; m],
-            events: Vec::new(),
             ingested: 0,
         }
     }
 
-    /// Stream `i`'s ground-truth scene state this round.
-    pub(crate) fn observe(&mut self, i: usize, state: SceneState) {
-        let s = &mut self.streams[i];
-        // Paper necessity: count change / event active (§5.1).
-        self.necessity[i] = state.necessary_after(s.prev_state.as_ref());
-        s.prev_state = Some(state);
-        self.truths[i] = Some(truth_result(&state));
+    /// Start round `round`: reset the per-round state and re-admit the
+    /// streams whose quarantine cooldown expired.
+    pub(crate) fn begin_round(&mut self, round: u64) {
+        self.budget.begin_round();
+        self.contexts.clear();
+        self.decoded.fill(false);
+        self.ingested = 0;
+        for i in self.health.tick(round) {
+            self.telemetry.stream_recovered(i);
+        }
     }
 
     /// Hand an arrived packet to stream `i`'s decoder (arrival ≠ decode).
@@ -232,20 +190,29 @@ impl RoundCore {
             meta.frame_type.is_independent(),
             u64::from(meta.size),
         );
-        self.streams[i].decoder.ingest(packet);
+        self.decoders[i].ingest(packet);
         self.ingested += 1;
     }
 
     /// Offer stream `i`'s packet `meta` to this round's gate. Quarantined
     /// streams offer nothing: their budget share goes to the healthy ones.
-    /// When the closure is unavailable (references lost) the packet is
-    /// quoted at `fallback` if given, else recorded as a dependency fault.
-    pub(crate) fn offer(&mut self, i: usize, round: u64, meta: PacketMeta, fallback: Option<f64>) {
+    /// A costed offer clears the stream's strikes, so a quarantine needs
+    /// `strikes` consecutive faults. When the closure is unavailable
+    /// (references lost) the packet is quoted at `fallback` if given, else
+    /// recorded as a dependency fault.
+    pub(crate) fn offer(
+        &mut self,
+        i: usize,
+        round: u64,
+        meta: PacketMeta,
+        fallback: Option<f64>,
+        oracle_necessary: Option<bool>,
+    ) {
         debug_assert!(self.contexts.last().is_none_or(|c| c.stream_idx < i));
         if !self.health.is_active(i) {
             return;
         }
-        let pending = self.streams[i].decoder.pending_cost(meta.seq);
+        let pending = self.decoders[i].pending_cost(meta.seq);
         if pending.is_some() {
             self.health.clear_strikes(i);
         }
@@ -262,32 +229,171 @@ impl RoundCore {
             stream_idx: i,
             meta,
             pending_cost,
-            codec: self.streams[i].codec,
-            oracle_necessary: self.config.expose_oracle.then_some(self.necessity[i]),
+            codec: self.codecs[i],
+            oracle_necessary,
         });
     }
 
-    /// Record a classified fault against this core's ledger and health.
+    /// Record a classified fault: telemetry, the bounded ledger, and (when
+    /// `strike`) the stream's quarantine accounting.
     pub(crate) fn note_fault(&mut self, error: &PipelineError, round: u64, strike: bool) {
-        note_fault(
-            &self.telemetry,
-            &mut self.faults,
-            &mut self.health,
-            error,
-            round,
-            strike,
-        );
+        self.telemetry.fault(error.kind(), error.stream_idx());
+        push_fault(&mut self.faults, error);
+        if let (true, Some(i)) = (strike, error.stream_idx()) {
+            if self.health.strike(i, round) {
+                self.telemetry.stream_degraded(i);
+            }
+        }
     }
 
-    /// Start round `round`: reset the per-round state and re-admit the
-    /// streams whose quarantine cooldown expired.
-    pub(crate) fn begin_round(&mut self, round: u64) {
-        self.contexts.clear();
-        self.decoded.fill(false);
-        self.ingested = 0;
-        for i in self.health.tick(round) {
-            self.telemetry.stream_recovered(i);
+    fn candidate(&self, i: usize) -> Option<&PacketContext> {
+        let k = self.contexts.binary_search_by_key(&i, |c| c.stream_idx);
+        k.ok().map(|k| &self.contexts[k])
+    }
+
+    /// The next stream of `selection` to claim, in priority order. Entries
+    /// without a candidate this round (out of range, not offered) and
+    /// streams already claimed are skipped; the walk ends once the round
+    /// budget is spent (the last claim may overshoot — Lemma 1).
+    pub(crate) fn next_selected(
+        &self,
+        selection: &mut std::slice::Iter<'_, usize>,
+    ) -> Option<usize> {
+        let idx = selection.find(|&&i| self.candidate(i).is_some() && !self.decoded[i])?;
+        self.budget.can_spend().then_some(*idx)
+    }
+
+    /// Claim stream `idx`'s candidate closure (`stalled`: an injected
+    /// decoder stall refuses it) and charge the closure's frame costs,
+    /// summed in decode order. A closure that cannot be claimed (references
+    /// lost, or the stall) is stranded until the next I-frame: nothing is
+    /// charged, the failure strikes the stream and is audited. Returns the
+    /// closure's packets in decode order and the cost charged.
+    pub(crate) fn claim(
+        &mut self,
+        idx: usize,
+        round: u64,
+        stalled: bool,
+    ) -> Option<(Vec<Packet>, f64)> {
+        let (seq, quoted) = self.candidate(idx).map(|c| (c.meta.seq, c.pending_cost))?;
+        let claimed = if stalled {
+            Err("decoder stalled (injected)".to_string())
+        } else {
+            self.decoders[idx]
+                .claim_closure(seq)
+                .map_err(|e| e.to_string())
+        };
+        let closure = match claimed {
+            Ok(closure) => closure,
+            Err(detail) => {
+                self.undecodable += 1;
+                let error = PipelineError::DecodeFail {
+                    stream_idx: idx,
+                    round,
+                    detail,
+                };
+                self.note_fault(&error, round, true);
+                self.telemetry.audit(GateAuditEntry {
+                    stream_idx: idx,
+                    round,
+                    confidence: 0.0,
+                    cost: quoted,
+                    kept: false,
+                    reason: AuditReason::Undecodable,
+                });
+                return None;
+            }
+        };
+        let costs = self.decoders[idx].costs();
+        let cost = closure.iter().map(|p| costs.cost(p.meta.frame_type)).sum();
+        self.budget.charge(cost);
+        self.decoded[idx] = true;
+        self.packets_decoded += 1;
+        self.packets_backfilled += closure.len().saturating_sub(1) as u64;
+        Some((closure, cost))
+    }
+}
+
+struct CoreStream {
+    model: Box<dyn InferenceModel>,
+    judge: RedundancyJudge,
+    /// The latest inference result — what downstream applications
+    /// currently see for this stream (drives the staleness metric).
+    published: Option<InferenceResult>,
+    /// Previous scene state (drives the paper's static necessity labels).
+    prev_state: Option<SceneState>,
+}
+
+/// Everything one simulated gating round needs, for `m` streams: the
+/// shared [`GateCore`] plus the simulator-only half — models, redundancy
+/// judges, ground-truth necessity and scoring. See module docs.
+pub(crate) struct RoundCore {
+    pub(crate) gate: GateCore,
+    streams: Vec<CoreStream>,
+    pub(crate) config: SimConfig,
+    accuracy: OnlineAccuracy,
+    staleness: OnlineAccuracy,
+    /// In-process fault injectors (decoder stalls, dropped feedback).
+    pub(crate) plan: FaultPlan,
+    pub(crate) autopilot: Autopilot,
+    necessary_total: u64,
+    necessary_decoded: u64,
+    // Per-round state, reused round to round.
+    necessity: Vec<bool>,
+    truths: Vec<Option<InferenceResult>>,
+    /// Feedback from the last [`RoundCore::decode_selected`] call.
+    pub(crate) events: Vec<FeedbackEvent>,
+}
+
+impl RoundCore {
+    /// A core over `streams`, each given as (decoder stream id, task,
+    /// codec).
+    pub(crate) fn new(config: SimConfig, streams: Vec<(u32, TaskKind, Codec)>) -> Self {
+        let m = streams.len();
+        let gate = GateCore::new(
+            streams.iter().map(|&(id, _, codec)| (id, codec)),
+            config.cost_model,
+            RoundBudget::new(config.budget_per_round),
+            QuarantineConfig::default(),
+        );
+        RoundCore {
+            gate,
+            streams: streams
+                .into_iter()
+                .map(|(_, task, _)| CoreStream {
+                    model: model_for(task),
+                    judge: RedundancyJudge::new(),
+                    published: None,
+                    prev_state: None,
+                })
+                .collect(),
+            config,
+            accuracy: OnlineAccuracy::with_segments(config.segments),
+            staleness: OnlineAccuracy::with_segments(config.segments),
+            plan: FaultPlan::default(),
+            autopilot: Autopilot::disabled(),
+            necessary_total: 0,
+            necessary_decoded: 0,
+            necessity: vec![false; m],
+            truths: vec![None; m],
+            events: Vec::new(),
         }
+    }
+
+    /// Stream `i`'s ground-truth scene state this round.
+    pub(crate) fn observe(&mut self, i: usize, state: SceneState) {
+        let s = &mut self.streams[i];
+        // Paper necessity: count change / event active (§5.1).
+        self.necessity[i] = state.necessary_after(s.prev_state.as_ref());
+        s.prev_state = Some(state);
+        self.truths[i] = Some(truth_result(&state));
+    }
+
+    /// [`GateCore::offer`], exposing the ground-truth necessity to the
+    /// gate when the config asks for the oracle.
+    pub(crate) fn offer(&mut self, i: usize, round: u64, meta: PacketMeta, fallback: Option<f64>) {
+        let oracle = self.config.expose_oracle.then_some(self.necessity[i]);
+        self.gate.offer(i, round, meta, fallback, oracle);
     }
 
     /// Run `rounds` rounds under `gate`. Each round, `feed` observes,
@@ -298,53 +404,50 @@ impl RoundCore {
         rounds: u64,
         mut feed: impl FnMut(&mut Self, u64),
     ) {
-        gate.attach_telemetry(self.telemetry.clone());
-        let trace = self.telemetry.trace().clone();
-        let mut budget = self.budget;
+        let telemetry = self.gate.telemetry.clone();
+        gate.attach_telemetry(telemetry.clone());
+        let trace = telemetry.trace().clone();
         for round in 0..rounds {
             let round_span = trace.begin(TraceStage::Round, None, round, None);
             let round_id = round_span.as_ref().map(SpanToken::id);
-            budget.begin_round();
-            self.begin_round(round);
+            self.gate.begin_round(round);
 
-            let parse_timer = self.telemetry.timer();
+            let parse_timer = telemetry.timer();
             let parse_span = trace.begin(TraceStage::Parse, None, round, round_id);
             feed(self, round);
             let parse_us = dur_us(trace.end(parse_span, Track::Gate));
-            self.telemetry
-                .record(Stage::Parse, self.ingested, parse_timer);
+            telemetry.record(Stage::Parse, self.gate.ingested, parse_timer);
 
-            let gate_timer = self.telemetry.timer();
+            let gate_timer = telemetry.timer();
             let select_span = trace.begin(TraceStage::GateSelect, None, round, round_id);
-            let selection = gate.select(round, &self.contexts, budget.per_round);
+            let selection = gate.select(round, &self.gate.contexts, self.gate.budget.per_round);
             let select_us = dur_us(trace.end(select_span, Track::Gate));
-            self.telemetry
-                .record(Stage::Gate, self.contexts.len() as u64, gate_timer);
+            telemetry.record(Stage::Gate, self.gate.contexts.len() as u64, gate_timer);
 
-            let (decode_us, infer_us) =
-                self.decode_selected(&selection, round, round_id, &mut budget);
+            let (decode_us, infer_us) = self.decode_selected(&selection, round, round_id);
             gate.feedback(&self.events);
             self.score(round, rounds);
 
             // The outcome vector is only materialized for the monitor.
-            let monitored = self.telemetry.insight().is_enabled();
+            let monitored = telemetry.insight().is_enabled();
             let outcomes: Vec<PacketOutcome> = self
+                .gate
                 .contexts
                 .iter()
                 .filter(|_| monitored)
                 .map(|c| PacketOutcome {
                     cost: c.pending_cost,
                     necessary: self.necessity[c.stream_idx],
-                    decoded: self.decoded[c.stream_idx],
+                    decoded: self.gate.decoded[c.stream_idx],
                 })
                 .collect();
             let outcome = RoundOutcome {
                 round,
-                budget: budget.per_round,
-                spent: budget.spent_this_round(),
-                offered: self.contexts.len(),
-                decoded: self.decoded.iter().filter(|&&d| d).count(),
-                quarantined: self.health.sidelined_count(),
+                budget: self.gate.budget.per_round,
+                spent: self.gate.budget.spent_this_round(),
+                offered: self.gate.contexts.len(),
+                decoded: self.gate.decoded.iter().filter(|&&d| d).count(),
+                quarantined: self.gate.health.sidelined_count(),
                 outcomes: &outcomes,
             };
             let parts = [
@@ -353,8 +456,8 @@ impl RoundCore {
                 (TraceStage::Decode, decode_us),
                 (TraceStage::Infer, infer_us),
             ];
-            budget.per_round = close_round(
-                &self.telemetry,
+            self.gate.budget.per_round = close_round(
+                &telemetry,
                 &self.autopilot,
                 gate,
                 &outcome,
@@ -363,99 +466,53 @@ impl RoundCore {
                 None,
             );
         }
-        self.budget = budget;
     }
 
-    /// Decode the selected candidates in priority order until `budget`
-    /// runs out, infer on each target frame and queue its feedback.
-    /// Selection entries without a candidate this round (out of range,
-    /// duplicate, or not offered) are skipped. Returns the decode and
-    /// inference time spent, in µs.
+    /// Claim the selected candidates' closures in priority order until the
+    /// round budget runs out, infer on each target frame and queue its
+    /// feedback. Returns the decode and inference time spent, in µs.
     pub(crate) fn decode_selected(
         &mut self,
         selection: &[usize],
         round: u64,
         round_id: Option<SpanId>,
-        budget: &mut RoundBudget,
     ) -> (u64, u64) {
-        let trace = self.telemetry.trace().clone();
+        let telemetry = self.gate.telemetry.clone();
+        let trace = telemetry.trace();
         let (mut decode_us, mut infer_us) = (0, 0);
         self.events.clear();
-        for &idx in selection {
-            let found = self.contexts.binary_search_by_key(&idx, |c| c.stream_idx);
-            let Ok(k) = found else { continue };
-            if self.decoded[idx] {
-                continue;
-            }
-            if !budget.can_spend() {
-                break;
-            }
-            let seq = self.contexts[k].meta.seq;
-            let decode_timer = self.telemetry.timer();
+        let mut picks = selection.iter();
+        while let Some(idx) = self.gate.next_selected(&mut picks) {
+            let decode_timer = telemetry.timer();
             let decode_span = trace.begin(TraceStage::Decode, Some(idx), round, round_id);
-            let frames = if self.plan.stalls_decoder(idx, round) {
-                Err("decoder stalled (injected)".to_string())
-            } else {
-                self.streams[idx]
-                    .decoder
-                    .decode_closure(seq)
-                    .map_err(|e| e.to_string())
-            };
+            let claimed = self
+                .gate
+                .claim(idx, round, self.plan.stalls_decoder(idx, round));
             let decode_done = trace.end(decode_span, Track::Gate);
-            let frames = match frames {
-                Ok(frames) => frames,
-                Err(detail) => {
-                    // References lost, or an injected stall: the closure is
-                    // stranded until the next I-frame. Nothing is charged;
-                    // the failure strikes the stream and is audited.
-                    self.undecodable += 1;
-                    let error = PipelineError::DecodeFail {
-                        stream_idx: idx,
-                        round,
-                        detail,
-                    };
-                    self.note_fault(&error, round, true);
-                    self.telemetry.audit(GateAuditEntry {
-                        stream_idx: idx,
-                        round,
-                        confidence: 0.0,
-                        cost: self.contexts[k].pending_cost,
-                        kept: false,
-                        reason: AuditReason::Undecodable,
-                    });
-                    continue;
-                }
+            let Some((closure, _)) = claimed else {
+                continue;
             };
             decode_us += dur_us(decode_done);
-            self.telemetry
-                .record(Stage::Decode, frames.len() as u64, decode_timer);
-            let s = &mut self.streams[idx];
-            // Charge the closure's frame costs summed in decode order: the
-            // float sum the threaded runtime quotes for its decode job, so
-            // every mode cuts the knapsack at the same point (D14).
-            let costs = *s.decoder.costs();
-            budget.charge(frames.iter().map(|f| costs.cost(f.frame_type)).sum());
-            self.decoded[idx] = true;
-            self.packets_decoded += 1;
-            self.packets_backfilled += frames.len().saturating_sub(1) as u64;
-            let Some(target) = frames.last() else {
+            telemetry.record(Stage::Decode, closure.len() as u64, decode_timer);
+            let Some(target) = closure.last() else {
                 continue;
             };
 
-            let infer_timer = self.telemetry.timer();
+            let s = &mut self.streams[idx];
+            let infer_timer = telemetry.timer();
             let infer_span = trace.begin(
                 TraceStage::Infer,
                 Some(idx),
                 round,
                 decode_done.map(|d| d.id),
             );
-            let result = infer(s.model.as_mut(), target, idx, round);
+            let result = infer(s.model.as_mut(), &DecodedFrame::from(target), idx, round);
             infer_us += dur_us(trace.end(infer_span, Track::Gate));
-            self.telemetry.record(Stage::Infer, 1, infer_timer);
+            telemetry.record(Stage::Infer, 1, infer_timer);
             let result = match result {
                 Ok(result) => result,
                 Err(error) => {
-                    self.note_fault(&error, round, true);
+                    self.gate.note_fault(&error, round, true);
                     continue;
                 }
             };
@@ -468,7 +525,7 @@ impl RoundCore {
                     stream_idx: idx,
                     round,
                 };
-                self.note_fault(&lost, round, false);
+                self.gate.note_fault(&lost, round, false);
                 continue;
             }
             self.events.push(FeedbackEvent {
@@ -484,7 +541,7 @@ impl RoundCore {
     fn score(&mut self, round: u64, rounds: u64) {
         let segment = (round as usize * self.config.segments) / rounds.max(1) as usize;
         for (i, s) in self.streams.iter().enumerate() {
-            let (decoded, necessary) = (self.decoded[i], self.necessity[i]);
+            let (decoded, necessary) = (self.gate.decoded[i], self.necessity[i]);
             // Primary: the paper's per-packet correctness.
             self.accuracy.record(segment, decoded, necessary);
             // Secondary: published-result correctness.
@@ -505,16 +562,16 @@ impl RoundCore {
             rounds,
             budget_per_round: self.config.budget_per_round,
             packets_total: rounds * self.streams.len() as u64,
-            packets_decoded: self.packets_decoded,
-            packets_backfilled: self.packets_backfilled,
-            cost_spent: self.budget.total_spent(),
+            packets_decoded: self.gate.packets_decoded,
+            packets_backfilled: self.gate.packets_backfilled,
+            cost_spent: self.gate.budget.total_spent(),
             accuracy: self.accuracy,
             staleness: self.staleness,
             necessary_total: self.necessary_total,
             necessary_decoded: self.necessary_decoded,
-            faults: self.faults,
-            health: self.health.summary(),
-            telemetry: self.telemetry.snapshot(),
+            health: self.gate.health.summary(),
+            telemetry: self.gate.telemetry.snapshot(),
+            faults: self.gate.faults,
         }
     }
 }

@@ -133,28 +133,16 @@ impl StageCell {
     }
 
     fn snapshot(&self, stage: Stage) -> StageSnapshot {
+        let (p50_us, p99_us, latency_buckets) = summarize_buckets(&self.buckets);
         StageSnapshot {
             stage: stage.name().to_string(),
             calls: self.calls,
             items: self.items,
             total_us: self.total_us,
-            mean_us: if self.calls == 0 {
-                0.0
-            } else {
-                self.total_us as f64 / self.calls as f64
-            },
-            p50_us: percentile_from_buckets(&self.buckets, 0.50),
-            p99_us: percentile_from_buckets(&self.buckets, 0.99),
-            latency_buckets: self
-                .buckets
-                .iter()
-                .enumerate()
-                .filter(|(_, &c)| c > 0)
-                .map(|(i, &count)| LatencyBucket {
-                    le_us: bucket_upper_us(i),
-                    count,
-                })
-                .collect(),
+            mean_us: ratio(self.total_us, self.calls),
+            p50_us,
+            p99_us,
+            latency_buckets,
         }
     }
 }
@@ -857,29 +845,9 @@ impl StageSnapshot {
         self.calls += other.calls;
         self.items += other.items;
         self.total_us += other.total_us;
-        self.mean_us = if self.calls == 0 {
-            0.0
-        } else {
-            self.total_us as f64 / self.calls as f64
-        };
-        let mut full = [0u64; HISTOGRAM_BUCKETS];
-        for bucket in self.latency_buckets.iter().chain(&other.latency_buckets) {
-            let idx = (0..HISTOGRAM_BUCKETS)
-                .find(|&i| bucket_upper_us(i) == bucket.le_us)
-                .unwrap_or(HISTOGRAM_BUCKETS - 1);
-            full[idx] += bucket.count;
-        }
-        self.p50_us = percentile_from_buckets(&full, 0.50);
-        self.p99_us = percentile_from_buckets(&full, 0.99);
-        self.latency_buckets = full
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &count)| LatencyBucket {
-                le_us: bucket_upper_us(i),
-                count,
-            })
-            .collect();
+        self.mean_us = ratio(self.total_us, self.calls);
+        let merged = densify(self.latency_buckets.iter().chain(&other.latency_buckets));
+        (self.p50_us, self.p99_us, self.latency_buckets) = summarize_buckets(&merged);
     }
 }
 
@@ -916,6 +884,49 @@ pub(crate) fn percentile_from_buckets(buckets: &[u64], q: f64) -> u64 {
         }
     }
     bucket_midpoint_us(buckets.len() - 1)
+}
+
+/// A dense latency histogram's derived figures: p50, p99 and its
+/// non-empty buckets (the sparse form snapshots serialize).
+pub(crate) fn summarize_buckets(dense: &[u64]) -> (u64, u64, Vec<LatencyBucket>) {
+    let sparse = dense
+        .iter()
+        .enumerate()
+        .filter(|(_, &c)| c > 0)
+        .map(|(i, &count)| LatencyBucket {
+            le_us: bucket_upper_us(i),
+            count,
+        })
+        .collect();
+    (
+        percentile_from_buckets(dense, 0.50),
+        percentile_from_buckets(dense, 0.99),
+        sparse,
+    )
+}
+
+/// The bucket-wise sum of sparse histograms, in dense form. Buckets are
+/// matched by upper bound; an unknown bound lands in the overflow bucket.
+pub(crate) fn densify<'a>(
+    sparse: impl IntoIterator<Item = &'a LatencyBucket>,
+) -> [u64; HISTOGRAM_BUCKETS] {
+    let mut dense = [0u64; HISTOGRAM_BUCKETS];
+    for bucket in sparse {
+        let idx = (0..HISTOGRAM_BUCKETS)
+            .find(|&i| bucket_upper_us(i) == bucket.le_us)
+            .unwrap_or(HISTOGRAM_BUCKETS - 1);
+        dense[idx] += bucket.count;
+    }
+    dense
+}
+
+/// `num / den`, or 0 when `den` is 0.
+pub(crate) fn ratio(num: u64, den: u64) -> f64 {
+    if den == 0 {
+        0.0
+    } else {
+        num as f64 / den as f64
+    }
 }
 
 #[cfg(test)]

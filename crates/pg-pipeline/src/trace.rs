@@ -27,7 +27,9 @@
 //!   accumulators are plain atomics updated at span end, *outside* the
 //!   bounded store, so the latency-attribution summary (mean/p99 per
 //!   stage, queue-wait share of round time) is exact over all sampled
-//!   rounds even after the raw-span ring has started evicting.
+//!   rounds even after the raw-span ring has started evicting. Round and
+//!   queue-wait spans open and close under one short lock that tracks
+//!   the union of waiting time within rounds.
 //!
 //! Export paths: [`Trace::chrome_trace_json`] (Perfetto-loadable trace
 //! events, one track per gate/parser-shard/decode-worker/infer/ingest
@@ -44,7 +46,7 @@ use parking_lot::Mutex;
 use serde::Serialize;
 
 use crate::telemetry::{
-    bucket_index, bucket_upper_us, percentile_from_buckets, LatencyBucket, HISTOGRAM_BUCKETS,
+    bucket_index, densify, ratio, summarize_buckets, LatencyBucket, HISTOGRAM_BUCKETS,
 };
 
 /// The traceable pipeline stages. The first five partition the gate
@@ -330,6 +332,47 @@ impl SpanRing {
     }
 }
 
+/// The union of queue-wait time within sampled round spans: the measure
+/// of the instants at which some dispatched job waits in the pool queue
+/// *and* some round span is open. Concurrent waits count once, and time
+/// is credited only when the open rounds close, so the total never
+/// exceeds the summed round time.
+#[derive(Default)]
+struct WaitUnion {
+    rounds_open: u64,
+    waiting: u64,
+    /// Time of the last event.
+    since_ns: u64,
+    /// Union time accrued during the currently open rounds.
+    open_ns: u64,
+    /// Union time within closed rounds.
+    total_ns: u64,
+}
+
+impl WaitUnion {
+    /// Advance to `now`, then open or close one round (`round`) or one
+    /// queue wait.
+    fn step(&mut self, now: u64, round: bool, opening: bool) {
+        if self.rounds_open > 0 && self.waiting > 0 {
+            self.open_ns += now.saturating_sub(self.since_ns);
+        }
+        self.since_ns = now;
+        let open = if round {
+            &mut self.rounds_open
+        } else {
+            &mut self.waiting
+        };
+        *open = if opening {
+            *open + 1
+        } else {
+            open.saturating_sub(1)
+        };
+        if round && !opening && self.rounds_open == 0 {
+            self.total_ns += std::mem::take(&mut self.open_ns);
+        }
+    }
+}
+
 struct TraceInner {
     /// Distinguishes this trace's per-thread buffers from other instances
     /// sharing the same threads (tests, sequential runs).
@@ -343,11 +386,34 @@ struct TraceInner {
     stages: [TraceStageCell; TRACE_STAGES],
     store: Mutex<SpanRing>,
     rounds: Mutex<Vec<RoundBreakdown>>,
+    wait_union: Mutex<WaitUnion>,
 }
 
 impl TraceInner {
     fn now_ns(&self) -> u64 {
         self.epoch.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64
+    }
+
+    /// The timestamp of a `stage` span opening (`begin_ns` is `None`) or
+    /// closing; a close also updates the stage's accumulators. Round and
+    /// queue-wait edges step the wait union, reading the clock and
+    /// updating the accumulators under its lock, so the union, the round
+    /// spans and a snapshot's round total share one timeline.
+    fn edge_ns(&self, stage: TraceStage, begin_ns: Option<u64>) -> u64 {
+        let mut union = matches!(stage, TraceStage::Round | TraceStage::QueueWait)
+            .then(|| self.wait_union.lock());
+        let now = self.now_ns();
+        if let Some(union) = union.as_mut() {
+            union.step(now, stage == TraceStage::Round, begin_ns.is_none());
+        }
+        if let Some(begin_ns) = begin_ns {
+            let dur_ns = now.saturating_sub(begin_ns);
+            let cell = &self.stages[stage.index()];
+            cell.count.fetch_add(1, Ordering::Relaxed);
+            cell.total_ns.fetch_add(dur_ns, Ordering::Relaxed);
+            cell.buckets[bucket_index(dur_ns / 1_000)].fetch_add(1, Ordering::Relaxed);
+        }
+        now
     }
 
     fn drain(&self, spans: &mut Vec<TraceSpan>) {
@@ -450,6 +516,7 @@ impl Trace {
                 stages: std::array::from_fn(|_| TraceStageCell::new()),
                 store: Mutex::new(SpanRing::new(config.capacity)),
                 rounds: Mutex::new(Vec::with_capacity(ROUND_RING)),
+                wait_union: Mutex::new(WaitUnion::default()),
             })),
         }
     }
@@ -491,7 +558,7 @@ impl Trace {
             stage,
             stream: stream.map_or(u32::MAX, |s| s.min(u32::MAX as usize - 1) as u32),
             round,
-            begin_ns: inner.now_ns(),
+            begin_ns: inner.edge_ns(stage, None),
         })
     }
 
@@ -503,12 +570,8 @@ impl Trace {
     pub fn end(&self, token: Option<SpanToken>, track: Track) -> Option<ClosedSpan> {
         let token = token?;
         let inner = self.inner.as_ref()?;
-        let end_ns = inner.now_ns();
+        let end_ns = inner.edge_ns(token.stage, Some(token.begin_ns));
         let dur_ns = end_ns.saturating_sub(token.begin_ns);
-        let cell = &inner.stages[token.stage.index()];
-        cell.count.fetch_add(1, Ordering::Relaxed);
-        cell.total_ns.fetch_add(dur_ns, Ordering::Relaxed);
-        cell.buckets[bucket_index(dur_ns / 1_000)].fetch_add(1, Ordering::Relaxed);
         inner.recorded.fetch_add(1, Ordering::Relaxed);
         push_span(
             inner,
@@ -580,17 +643,16 @@ impl Trace {
         let inner = self.inner.as_ref()?;
         self.flush();
         let mut stages = Vec::new();
-        let mut round_total_ns = 0u64;
-        let mut queue_wait_total_ns = 0u64;
+        // One consistent pair: round spans close under the union's lock.
+        let (queue_wait_ns, round_total_ns) = {
+            let union = inner.wait_union.lock();
+            let round = &inner.stages[TraceStage::Round.index()];
+            (union.total_ns, round.total_ns.load(Ordering::Relaxed))
+        };
         for stage in TraceStage::ALL {
             let cell = &inner.stages[stage.index()];
             let count = cell.count.load(Ordering::Relaxed);
             let total_ns = cell.total_ns.load(Ordering::Relaxed);
-            match stage {
-                TraceStage::Round => round_total_ns = total_ns,
-                TraceStage::QueueWait => queue_wait_total_ns = total_ns,
-                _ => {}
-            }
             if count == 0 {
                 continue;
             }
@@ -599,23 +661,15 @@ impl Trace {
                 .iter()
                 .map(|b| b.load(Ordering::Relaxed))
                 .collect();
-            let total_us = total_ns / 1_000;
+            let (p50_us, p99_us, latency_buckets) = summarize_buckets(&buckets);
             stages.push(TraceStageSnapshot {
                 stage: stage.name().to_string(),
                 count,
-                total_us,
+                total_us: total_ns / 1_000,
                 mean_us: total_ns as f64 / 1_000.0 / count as f64,
-                p50_us: percentile_from_buckets(&buckets, 0.50),
-                p99_us: percentile_from_buckets(&buckets, 0.99),
-                latency_buckets: buckets
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, &c)| c > 0)
-                    .map(|(i, &count)| LatencyBucket {
-                        le_us: bucket_upper_us(i),
-                        count,
-                    })
-                    .collect(),
+                p50_us,
+                p99_us,
+                latency_buckets,
             });
         }
         let rounds = inner.rounds.lock();
@@ -629,11 +683,8 @@ impl Trace {
             spans_recorded: recorded,
             spans_retained: retained,
             spans_evicted: recorded.saturating_sub(retained as u64),
-            queue_wait_share: if round_total_ns == 0 {
-                0.0
-            } else {
-                queue_wait_total_ns as f64 / round_total_ns as f64
-            },
+            queue_wait_us: queue_wait_ns / 1_000,
+            queue_wait_share: ratio(queue_wait_ns, round_total_ns),
             stages,
             worst_round,
         })
@@ -718,29 +769,9 @@ impl TraceStageSnapshot {
         debug_assert_eq!(self.stage, other.stage);
         self.count += other.count;
         self.total_us += other.total_us;
-        self.mean_us = if self.count == 0 {
-            0.0
-        } else {
-            self.total_us as f64 / self.count as f64
-        };
-        let mut full = [0u64; HISTOGRAM_BUCKETS];
-        for bucket in self.latency_buckets.iter().chain(&other.latency_buckets) {
-            let idx = (0..HISTOGRAM_BUCKETS)
-                .find(|&i| bucket_upper_us(i) == bucket.le_us)
-                .unwrap_or(HISTOGRAM_BUCKETS - 1);
-            full[idx] += bucket.count;
-        }
-        self.p50_us = percentile_from_buckets(&full, 0.50);
-        self.p99_us = percentile_from_buckets(&full, 0.99);
-        self.latency_buckets = full
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &count)| LatencyBucket {
-                le_us: bucket_upper_us(i),
-                count,
-            })
-            .collect();
+        self.mean_us = ratio(self.total_us, self.count);
+        let merged = densify(self.latency_buckets.iter().chain(&other.latency_buckets));
+        (self.p50_us, self.p99_us, self.latency_buckets) = summarize_buckets(&merged);
     }
 }
 
@@ -760,9 +791,13 @@ pub struct TraceSnapshot {
     /// Spans evicted from the store (recorded − retained). Attribution
     /// figures below still cover every recorded span.
     pub spans_evicted: u64,
-    /// Total queue-wait time / total round time: the fraction of gate
-    /// round wall time that dispatched decode jobs spent waiting in the
-    /// steal-pool queue.
+    /// Time within sampled round spans during which at least one
+    /// dispatched decode job waited in the steal-pool queue, µs: the union
+    /// of the waiting intervals, so concurrent waits count once.
+    pub queue_wait_us: u64,
+    /// `queue_wait_us` / total round time: the fraction of gate round
+    /// wall time during which decode jobs sat queued. At most 1 by
+    /// construction.
     pub queue_wait_share: f64,
     /// Per-stage attribution (stages with at least one span).
     pub stages: Vec<TraceStageSnapshot>,
@@ -777,8 +812,8 @@ impl TraceSnapshot {
     }
 
     /// Aggregate another instance's summary: counters add, histograms add
-    /// bucket-wise with derived figures recomputed, the queue-wait share
-    /// is recomputed from the merged totals, and the worst round wins by
+    /// bucket-wise with derived figures recomputed, the queue-wait union
+    /// adds and its share is recomputed from the merged totals, and the worst round wins by
     /// total time. Config fields keep this snapshot's values.
     pub fn merge(&mut self, other: &TraceSnapshot) {
         self.spans_recorded += other.spans_recorded;
@@ -790,19 +825,9 @@ impl TraceSnapshot {
                 Some(ours) => ours.merge(theirs),
             }
         }
-        let total = |name: &str| -> u64 {
-            self.stages
-                .iter()
-                .find(|s| s.stage == name)
-                .map_or(0, |s| s.total_us)
-        };
-        let round_us = total(TraceStage::Round.name());
-        let queue_us = total(TraceStage::QueueWait.name());
-        self.queue_wait_share = if round_us == 0 {
-            0.0
-        } else {
-            queue_us as f64 / round_us as f64
-        };
+        self.queue_wait_us += other.queue_wait_us;
+        let round_us = self.stage(TraceStage::Round).map_or(0, |s| s.total_us);
+        self.queue_wait_share = ratio(self.queue_wait_us, round_us);
         match (&mut self.worst_round, &other.worst_round) {
             (Some(ours), Some(theirs)) if theirs.total_us > ours.total_us => {
                 *ours = theirs.clone();
@@ -941,6 +966,19 @@ mod tests {
         let worst = snap.worst_round.expect("worst round");
         assert_eq!(worst.round, 90);
         assert_eq!(worst.total_us, 5_000);
+    }
+
+    #[test]
+    fn concurrent_waits_count_once_and_only_within_rounds() {
+        let mut union = WaitUnion::default();
+        union.step(0, true, true); // round opens
+        union.step(10, false, true); // job A queued
+        union.step(20, false, true); // job B queued
+        union.step(50, false, false); // A popped
+        assert_eq!(union.total_ns, 0, "credited only when the round closes");
+        union.step(60, true, false); // round closes, B still queued
+        union.step(80, false, false); // B popped between rounds
+        assert_eq!(union.total_ns, 50, "10..60, once, within the round");
     }
 
     #[test]

@@ -16,8 +16,9 @@ use pg_codec::{Codec, Encoder, EncoderConfig, Packet};
 use pg_pipeline::concurrent::ConcurrentConfig;
 use pg_pipeline::gate::DecodeAll;
 use pg_pipeline::{
-    ConcurrentPipeline, DecodeWorkModel, FeedbackEvent, GatePolicy, PacketContext, ReplaySimulator,
-    RoundSimulator, SimConfig, StreamSpec,
+    ChunkFaultMode, ConcurrentPipeline, DecodeWorkModel, FaultPlan, FaultRecord, FeedbackEvent,
+    GatePolicy, PacketContext, QuarantineConfig, ReplaySimulator, RoundSimulator, SimConfig,
+    StreamSpec,
 };
 use pg_scene::rng::mix;
 use pg_scene::{generator_for, TaskKind};
@@ -157,4 +158,52 @@ fn round_replay_and_runtime_offer_identical_candidates() {
         live.packets_decoded < live.packets_total,
         "the budget must bind for the comparison to mean anything"
     );
+}
+
+/// Fault ledger entries as (kind, stream, detail).
+fn ledger(faults: &[FaultRecord]) -> Vec<(String, Option<usize>, String)> {
+    faults
+        .iter()
+        .map(|f| (f.kind.clone(), f.stream_idx, f.detail.clone()))
+        .collect()
+}
+
+/// The same chunk damage must be accounted identically in both modes:
+/// the same ledger, the same quarantine history (a costed offer clears a
+/// stream's strikes everywhere, so `strikes = 2` means two *consecutive*
+/// faults in every mode) and the same decode count.
+#[test]
+fn round_sim_and_runtime_account_chunk_faults_identically() {
+    let plan = FaultPlan::new(7)
+        .with_corrupt(3, 20, ChunkFaultMode::Truncate)
+        .with_corrupt(3, 23, ChunkFaultMode::Truncate)
+        .with_corrupt(3, 60, ChunkFaultMode::Truncate);
+    let quarantine = QuarantineConfig::new(8, 2);
+
+    let specs = (0..STREAMS).map(spec).collect();
+    let live = RoundSimulator::new(specs, sim_config())
+        .with_faults(plan.clone())
+        .with_quarantine(quarantine)
+        .run(&mut DecodeAll, ROUNDS);
+
+    let cfg = ConcurrentConfig {
+        streams: STREAMS,
+        rounds: ROUNDS,
+        decode_workers: 1,
+        parser_shards: 1,
+        budget_per_round: BUDGET,
+        task: TASK,
+        encoder: encoder(),
+        work: DecodeWorkModel::spin(0),
+        seed: SEED,
+        quarantine,
+        faults: plan,
+        ..ConcurrentConfig::default()
+    };
+    let runtime = ConcurrentPipeline::new(cfg).run(&mut DecodeAll);
+
+    assert!(!live.faults.is_empty(), "the damage must be reported");
+    assert_eq!(ledger(&live.faults), ledger(&runtime.faults));
+    assert_eq!(live.health, runtime.health);
+    assert_eq!(live.packets_decoded, runtime.packets_decoded);
 }
